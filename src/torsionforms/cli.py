@@ -10,9 +10,7 @@ import argparse
 import json
 import multiprocessing
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bounds import mazur_count_bound, prime_factor_count
 from .curves import Curve
@@ -42,26 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Scan configuration: grid ranges, branch selection, output, workers."""
-
-    trial_limit: int = 10**6
-    search_bound: int = 50
-    pmin: int = -3
-    pmax: int = 3
-    qmin: int = -3
-    qmax: int = 3
-    k: str = "all"
-    out: Optional[str] = None
-    workers: int = 1
-    csv: bool = False
-
-    def __post_init__(self):
-        if self.trial_limit < 2 or self.search_bound < 1 or self.workers < 1:
-            raise UsageError("bounds and worker counts must be positive")
 
 
 def _branches(n: int, selector: str) -> tuple[Fraction, ...]:
@@ -163,7 +141,7 @@ def cmd_generate(args) -> int:
 
 
 def _scan_cell(cell) -> tuple[str, str]:
-    n, p, q, k_str, trial_limit = cell
+    n, p, q, k_str, trial_limit, csv = cell
     try:
         w = Witness(n, p, q, Fraction(k_str))
     except SideConditionError:
@@ -172,41 +150,33 @@ def _scan_cell(cell) -> tuple[str, str]:
         record = generate_curve(w, trial_limit)
     except DegenerateParameterError:
         return "skip_degenerate", ""
-    return "record", record.to_json_line()
+    return "record", record.to_csv_row() if csv else record.to_json_line()
 
 
 def cmd_scan(args) -> int:
+    if args.trial_limit < 2 or args.search_bound < 1 or args.workers < 1:
+        raise UsageError("bounds and worker counts must be positive")
     bound = args.search_bound
-    config = RunConfig(
-        trial_limit=args.trial_limit,
-        search_bound=bound,
-        pmin=args.pmin if args.pmin is not None else -bound,
-        pmax=args.pmax if args.pmax is not None else bound,
-        qmin=args.qmin if args.qmin is not None else -bound,
-        qmax=args.qmax if args.qmax is not None else bound,
-        k=args.k,
-        out=args.out,
-        workers=args.workers,
-        csv=args.csv,
-    )
-    branches = _branches(args.n, config.k)
+    branches = _branches(args.n, args.k)
     cells = [
-        (args.n, p, q, str(k), config.trial_limit)
-        for p in range(config.pmin, config.pmax + 1)
-        for q in range(config.qmin, config.qmax + 1)
+        (args.n, p, q, str(k), args.trial_limit, args.csv)
+        for p in range(-bound if args.pmin is None else args.pmin,
+                       (bound if args.pmax is None else args.pmax) + 1)
+        for q in range(-bound if args.qmin is None else args.qmin,
+                       (bound if args.qmax is None else args.qmax) + 1)
         for k in branches
     ]
-    out = open(config.out, "w") if config.out else sys.stdout
+    out = open(args.out, "w") if args.out else sys.stdout
     stats = {"record": 0, "skip_side": 0, "skip_degenerate": 0}
     try:
-        if config.workers > 1:
-            with multiprocessing.get_context("fork").Pool(config.workers) as pool:
+        if args.workers > 1:
+            with multiprocessing.get_context("fork").Pool(args.workers) as pool:
                 results = pool.imap(_scan_cell, cells, chunksize=8)
-                _write_scan(results, out, config.csv, stats)
+                _write_scan(results, out, args.csv, stats)
         else:
-            _write_scan(map(_scan_cell, cells), out, config.csv, stats)
+            _write_scan(map(_scan_cell, cells), out, args.csv, stats)
     finally:
-        if config.out:
+        if args.out:
             out.close()
     print(
         f"scanned={len(cells)} emitted={stats['record']} "
@@ -217,17 +187,11 @@ def cmd_scan(args) -> int:
 
 
 def _write_scan(results, out, csv: bool, stats: dict) -> None:
-    from .records import CurveRecord
-
     if csv:
         out.write("n,p,q,k,A,B,group\n")
     for kind, line in results:
         stats[kind] += 1
-        if kind != "record":
-            continue
-        if csv:
-            out.write(CurveRecord.from_json_line(line).to_csv_row() + "\n")
-        else:
+        if kind == "record":
             out.write(line + "\n")
 
 

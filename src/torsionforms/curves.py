@@ -24,8 +24,9 @@ class Curve:
     B: int
 
     def __post_init__(self):
-        if not isinstance(self.A, int) or not isinstance(self.B, int):
-            raise TypeError("curve coefficients must be integers")
+        for v in (self.A, self.B):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError("curve coefficients must be integers")
         if disc_AB(self.A, self.B) == 0:
             raise SingularCurveError(f"discriminant vanishes for (A, B) = ({self.A}, {self.B})")
 

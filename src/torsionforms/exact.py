@@ -321,8 +321,10 @@ def rational_roots(
     fac0, cof0 = factorize(c0, trial_limit)
     facd, cofd = factorize(cd, trial_limit)
     if cof0 == 1 and cofd == 1:
-        d0, dd = divisors(fac0), divisors(facd)
-        if len(d0) * len(dd) <= candidate_cap:
+        # count the candidates before building them: smooth coefficients
+        # have millions of divisors, and the fallback below needs none
+        if math.prod(e + 1 for e in (*fac0.values(), *facd.values())) <= candidate_cap:
+            d0, dd = divisors(fac0), divisors(facd)
             f1, fm1 = f(1), f(-1)
             for s in dd:
                 for r in d0:

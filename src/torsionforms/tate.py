@@ -8,6 +8,7 @@ integral for n in {5, 7, 9} and with pure alpha-power denominators for n = 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,14 +101,8 @@ def tate_short_curve(n: int, alpha) -> tuple[Curve, Fraction]:
     A, B = tate_AB(n, alpha)
     if disc_AB(A, B) == 0:
         raise DegenerateParameterError(f"Tate curve for n={n} is singular at alpha={alpha}")
-    u = Fraction(_lcm(A.denominator, B.denominator))
+    u = Fraction(math.lcm(A.denominator, B.denominator))
     return Curve(int(u**4 * A), int(u**6 * B)), u
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def interpolated_pipeline_poly(n: int) -> tuple[IntPoly, int, IntPoly, int]:

@@ -12,7 +12,6 @@ from typing import Optional
 
 from .curves import (
     Curve,
-    INFINITY,
     Point,
     disc_AB,
     on_curve,
@@ -28,7 +27,7 @@ from .errors import (
 from .exact import rational_nth_root, rational_roots, rational_square_root
 from .families import FAMILIES, ThueFamily, fg_forms
 from .records import CurveRecord
-from .torsion import torsion_points, torsion_structure
+from .torsion import torsion_structure
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,6 @@ def generate_curve(w: Witness, trial_limit: int = 10**6) -> CurveRecord:
     independently confirms a point of order n.
     """
     A, B = eval_AB(w)
-    if disc_AB(A, B) == 0:
-        raise DegenerateParameterError(
-            f"witness (p, q) = ({w.p}, {w.q}) generates a singular curve"
-        )
     points = order_n_points(w)
     if A.denominator == 1 and B.denominator == 1:
         curve = Curve(int(A), int(B))
@@ -243,14 +238,13 @@ def detect(c: Curve, n: int, trial_limit: int = 10**6) -> Optional[DetectionTrac
 
     Returns None exactly when no such point exists.  When one exists, returns
     the matching-system solution (alpha, u) converted to a family witness;
-    traces with a set ``discrepancy`` still certify presence.
+    traces with a set ``discrepancy`` still certify presence.  Curves with
+    A*B = 0 need no special case: the matching polynomial becomes a multiple
+    of numA**3 or numB**2, neither of which has a rational root.
     """
     if n not in FAMILIES:
         raise ValueError(f"detection is defined for n in {sorted(FAMILIES)}, got {n}")
     fam = FAMILIES[n]
-    if c.A == 0 or c.B == 0:
-        return _detect_zero_coefficient(c, n, trial_limit)
-
     best: Optional[DetectionTrace] = None
     for alpha in _matching_roots(n, c, trial_limit):
         if fam.tate_A_denpow and alpha == 0:
@@ -285,65 +279,6 @@ def _validate_trace(c: Curve, w: Witness, scale: int) -> None:
     for P in order_n_points(w):
         if not on_curve(six, twist_point(P, 6 * scale)):
             raise FamilyDataError("witness points do not map onto the curve's 6-twist")
-
-
-def _detect_zero_coefficient(
-    c: Curve, n: int, trial_limit: int
-) -> Optional[DetectionTrace]:
-    """Detection fallback for A = 0 or B = 0 via the torsion oracle.
-
-    For these orders the family coefficient polynomials have no rational
-    zeros, so no curve with j in {0, 1728} carries order-n torsion; the oracle
-    confirms absence, and presence would mean a family-data inconsistency.
-    """
-    order_n = [
-        P
-        for P in torsion_points(c, trial_limit)
-        if P is not INFINITY and point_order(c, P) == n
-    ]
-    if not order_n:
-        return None
-    fam = FAMILIES[n]
-    # Recover alpha by matching torsion x-coordinates against the family's
-    # x-coordinate functions xhat_i(alpha) = 3 X_i(sigma*alpha, 1) / alpha**e
-    # (e = 2 for n = 8, else 0).  Eliminating u between u^2 x_P = xhat(alpha)
-    # and the nonzero coefficient equation gives, after clearing the equal
-    # alpha-power denominators on both sides,
-    #   coeff * (3 X)^power = x_P^power * target_num .
-    for P in sorted(order_n, key=lambda P: (P.x, P.y)):
-        x_p = int(P.x)  # torsion coordinates are integral
-        if c.B == 0:
-            target_num, power, coeff, root_index = fam.tate_A_num, 2, c.A, 4
-        else:
-            target_num, power, coeff, root_index = fam.tate_B_num, 3, c.B, 6
-        for Xf in fam.point_x:
-            xpoly = 3 * Xf.dehomogenize(fam.sigma)
-            eq = coeff * xpoly**power - x_p**power * target_num
-            if eq.is_zero():
-                continue
-            for alpha in sorted(rational_roots(eq, trial_limit)):
-                if alpha == 0 and fam.tate_A_denpow:
-                    continue
-                An, Bn = fam.tate_value(alpha)
-                if (An == 0) != (c.A == 0) or (Bn == 0) != (c.B == 0):
-                    continue
-                u_pow = Fraction(An) / c.A if c.B == 0 else Fraction(Bn) / c.B
-                u = rational_nth_root(u_pow, root_index)
-                if u is None or u == 0:
-                    continue
-                if u**4 * c.A != An or u**6 * c.B != Bn:
-                    continue
-                witness, scale, u2, note = _witness_from_alpha_u(n, alpha, u)
-                if witness is not None:
-                    _validate_trace(c, witness, scale)
-                return DetectionTrace(
-                    alpha=alpha, u=u, u2=u2, witness=witness, scale=scale,
-                    discrepancy=note,
-                )
-    raise FamilyDataError(
-        f"oracle found order-{n} torsion on {c!r} (A*B = 0) but the family "
-        "parametrization has no rational parameter there"
-    )
 
 
 # ---------------------------------------------------------------------------

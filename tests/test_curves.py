@@ -31,6 +31,11 @@ class TestDiscriminant:
         with pytest.raises(SingularCurveError):
             Curve(0, 0)
 
+    def test_non_integer_coefficients_rejected(self):
+        for A, B in [(True, 1), (1, False), (1.0, 1), (F(1), 1)]:
+            with pytest.raises(TypeError):
+                Curve(A, B)
+
     def test_direct_values(self):
         assert disc_AB(-1, 0) == 64
         assert Curve(-432, 8208).disc == -23944605696

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from torsionforms import exact
 from torsionforms.exact import (
     HomForm,
     IntPoly,
@@ -129,6 +130,17 @@ class TestRationalRoots:
                     for cand in (F(r, s), F(-r, s)):
                         if cand not in roots:
                             assert f(cand) != 0
+
+    def test_candidates_counted_before_divisors_are_built(self, monkeypatch):
+        # 41 * 41 candidates exceed the cap, so the fallback answers and no
+        # divisor list is built
+        def no_divisors(primes):
+            raise AssertionError("divisor list built past candidate_cap")
+
+        monkeypatch.setattr(exact, "divisors", no_divisors)
+        f = IntPoly((-(2**40), 0, 3**40))
+        roots = rational_roots(f, candidate_cap=1000)
+        assert roots == {F(2**20, 3**20), F(-(2**20), 3**20)}
 
     def test_divisor_and_factorization_paths_agree(self):
         rng = random.Random(23)

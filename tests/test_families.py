@@ -2,7 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from torsionforms import FAMILIES, PROVENANCE, SideConditionError, Witness, eval_AB, eval_FG, fg_forms
+from torsionforms import (
+    FAMILIES,
+    PROVENANCE,
+    SideConditionError,
+    Witness,
+    eval_AB,
+    eval_FG,
+    fg_forms,
+    rational_roots,
+)
 
 EXPECTED_DEGREES = {5: (4, 6, 2, 3), 7: (8, 12, 4, 6), 8: (8, 12, 4, 6), 9: (12, 18, 6, 9)}
 EXPECTED_KSETS = {
@@ -38,6 +47,13 @@ class TestFamilyTables:
         for n, fam in FAMILIES.items():
             assert -27 * fam.U.dehomogenize(fam.sigma) == fam.tate_A_num
             assert fam.b_sign * 54 * fam.V.dehomogenize(fam.sigma) == fam.tate_B_num
+
+    def test_tate_coefficients_have_no_rational_roots(self):
+        # hence no curve with A*B = 0 (j in {0, 1728}) has a point of order n,
+        # and detect's matching polynomial has no root on such curves
+        for fam in FAMILIES.values():
+            assert rational_roots(fam.tate_A_num) == set()
+            assert rational_roots(fam.tate_B_num) == set()
 
     def test_form_anchor_values(self):
         assert FAMILIES[5].U(1, 1) == 16

@@ -137,7 +137,9 @@ class TestDetect:
         assert detect(Curve(-43, 166), 9) is None
 
     def test_zero_coefficient_curves(self):
-        for A, B in [(1, 0), (0, 1), (-1, 0), (0, -16)]:
+        for A, B in [(1, 0), (0, 1), (-1, 0), (0, -16),
+                     (0, 73550963175629734993),
+                     (4378218794305214720347189631209843791573, 0)]:
             c = Curve(A, B)
             for n in (5, 7, 8, 9):
                 assert detect(c, n) is None
