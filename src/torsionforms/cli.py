@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .errors import (
     SideConditionError,
     SingularCurveError,
 )
+from .exact import int_to_decimal
 from .families import FAMILIES, FAMILY_ORDERS
 from .tate import interpolated_pipeline_poly
 from .thue import Witness, detect, generate_curve, param_cross_check
@@ -170,6 +170,8 @@ def cmd_scan(args) -> int:
     stats = {"record": 0, "skip_side": 0, "skip_degenerate": 0}
     try:
         if args.workers > 1:
+            import multiprocessing
+
             with multiprocessing.get_context("fork").Pool(args.workers) as pool:
                 results = pool.imap(_scan_cell, cells, chunksize=8)
                 _write_scan(results, out, args.csv, stats)
@@ -241,11 +243,9 @@ def cmd_verify_identities(args) -> int:
 def cmd_bound(args) -> int:
     t = prime_factor_count(args.delta, args.trial_limit)
     bound = mazur_count_bound(args.n, t)
-    # the n=7 bound has ~16k digits; lift the int-to-str conversion cap
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 40000))
     print(f"t = {t}")
-    print(f"M_{args.n}({t}) = {bound.value}")
+    # the n = 7 bound has ~16k digits, past the default int-to-str limit
+    print(f"M_{args.n}({t}) = {int_to_decimal(bound.value)}")
     return EXIT_OK
 
 

@@ -187,6 +187,40 @@ class HomForm:
 
 
 # ---------------------------------------------------------------------------
+# decimal strings of any length
+
+# digits per chunk: far below the interpreter's int<->str digit limit (4300
+# by default), which is left untouched
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_to_decimal(n: int) -> str:
+    """``str(n)`` for an int of any number of digits."""
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
+def decimal_to_int(s: str) -> int:
+    """The int written as an optionally signed string of decimal digits, of
+    any length; raises ``ValueError`` on anything else."""
+    digits = s[1:] if s[:1] in ("-", "+") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {s[:40]!r}")
+    n = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[i:i + _CHUNK_DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if s[:1] == "-" else n
+
+
+# ---------------------------------------------------------------------------
 # factorization
 
 def _trial_candidates(limit: int):
@@ -202,10 +236,11 @@ def _trial_candidates(limit: int):
 def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
     """Trial-division factorization of ``m``.
 
-    Returns ``(primes, cofactor)`` with ``primes`` a prime -> exponent table of
-    primes at most ``trial_limit`` and ``cofactor >= 1`` the unfactored part
-    (1 when complete).  ``sign(m) * prod(p**e) * cofactor == m``.  Primality of
-    a large cofactor is never guessed, even when trial division proves it.
+    Returns ``(primes, cofactor)`` with ``primes`` a prime -> exponent table
+    and ``cofactor >= 1`` the unfactored part (1 when complete).
+    ``sign(m) * prod(p**e) * cofactor == m``.  A remainder is recorded as a
+    prime only when trial division has proved it one, that is, when it is
+    below ``(trial_limit + 1)**2``; primality is never guessed.
     """
     if m == 0:
         raise ValueError("cannot factorize 0")
@@ -222,12 +257,10 @@ def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
                 n //= d
                 e += 1
             primes[d] = e
-    if n == 1:
-        return primes, 1
-    if n <= trial_limit:
-        # reached only when the remainder is a proven prime within the limit
-        primes[n] = primes.get(n, 0) + 1
-        return primes, 1
+    if n > 1 and math.isqrt(n) <= trial_limit:
+        # every prime up to sqrt(n) was tried and none divides n
+        primes[n] = 1
+        n = 1
     return primes, n
 
 

@@ -1,7 +1,8 @@
 """Persistable curve records with decimal-string JSON serialization.
 
 Big integers are serialized as decimal strings so downstream consumers with
-fixed-width numeric types can read them; records re-validate on load.
+fixed-width numeric types can read them; records re-validate on load.  The
+strings may have any number of digits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,17 @@ from fractions import Fraction
 
 from .curves import Curve, Point, on_curve, point_order
 from .errors import FamilyDataError
+from .exact import decimal_to_int, int_to_decimal
 from .torsion import MAZUR_LABELS
+
+
+def _rational_to_decimal(x: Fraction) -> str:
+    num = int_to_decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_to_decimal(x.denominator)}"
+
+
+def _decimal_to_rational(s: str) -> Fraction:
+    return Fraction(*(decimal_to_int(part) for part in s.split("/", 1)))
 
 
 @dataclass(frozen=True)
@@ -30,14 +41,15 @@ class CurveRecord:
 
     def to_dict(self) -> dict:
         return {
-            "n": str(self.n),
-            "p": str(self.p),
-            "q": str(self.q),
+            "n": int_to_decimal(self.n),
+            "p": int_to_decimal(self.p),
+            "q": int_to_decimal(self.q),
             "k": str(self.k),
-            "A": str(self.curve.A),
-            "B": str(self.curve.B),
-            "delta": str(self.delta),
-            "points": [[str(P.x), str(P.y)] for P in self.points],
+            "A": int_to_decimal(self.curve.A),
+            "B": int_to_decimal(self.curve.B),
+            "delta": int_to_decimal(self.delta),
+            "points": [[_rational_to_decimal(P.x), _rational_to_decimal(P.y)]
+                       for P in self.points],
             "group_label": self.group_label,
             "provenance": self.provenance,
             "form": self.form,
@@ -48,20 +60,22 @@ class CurveRecord:
 
     def to_csv_row(self) -> str:
         return ",".join(
-            [str(self.n), str(self.p), str(self.q), str(self.k),
-             str(self.curve.A), str(self.curve.B), self.group_label]
+            [int_to_decimal(self.n), int_to_decimal(self.p), int_to_decimal(self.q),
+             str(self.k), int_to_decimal(self.curve.A), int_to_decimal(self.curve.B),
+             self.group_label]
         )
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveRecord":
         rec = cls(
-            n=int(d["n"]),
-            p=int(d["p"]),
-            q=int(d["q"]),
+            n=decimal_to_int(d["n"]),
+            p=decimal_to_int(d["p"]),
+            q=decimal_to_int(d["q"]),
             k=Fraction(d["k"]),
-            curve=Curve(int(d["A"]), int(d["B"])),
-            delta=int(d["delta"]),
-            points=tuple(Point(Fraction(x), Fraction(y)) for x, y in d["points"]),
+            curve=Curve(decimal_to_int(d["A"]), decimal_to_int(d["B"])),
+            delta=decimal_to_int(d["delta"]),
+            points=tuple(Point(_decimal_to_rational(x), _decimal_to_rational(y))
+                         for x, y in d["points"]),
             group_label=d["group_label"],
             provenance=d["provenance"],
             form=d["form"],

@@ -3,7 +3,8 @@
 Torsion points on an integral short Weierstrass curve have integer coordinates
 with y = 0 or y**2 dividing the discriminant; candidates are enumerated from
 the square divisors of the discriminant, kept when their order is at most 12,
-and classified into the fifteen possible rational torsion groups.
+and classified into the fifteen possible rational torsion groups.  A divisor y
+is solved for x only when y passes a residue sieve modulo small primes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .errors import FamilyDataError, OracleUnavailableError
 from .exact import divisors, factorize, integer_roots_monic_cubic
 
 MAZUR_ORDER_CAP = 12
+
+# moduli of the residue sieve on Nagell-Lutz y-candidates
+SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
 
 MAZUR_LABELS = frozenset(
     [f"Z/{n}Z" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
@@ -34,6 +38,19 @@ class TorsionReport:
     @property
     def order(self) -> int:
         return len(self.points)
+
+
+def _residue_sieve(A: int, B: int) -> list[tuple[int, frozenset]]:
+    """For each sieve prime q, the residues r with r**2 = x**3 + A*x + B mod q
+    for some x; an integral point's y lies in every one.  Primes whose set
+    holds every residue sieve nothing and are dropped."""
+    tables = []
+    for q in SIEVE_PRIMES:
+        values = {(x * x * x + A * x + B) % q for x in range(q)}
+        residues = frozenset(r for r in range(q) if r * r % q in values)
+        if len(residues) < q:
+            tables.append((q, residues))
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +72,10 @@ def torsion_points(c: Curve, trial_limit: int = 10**6) -> frozenset:
     candidates: set[tuple[int, int]] = set()
     for x in integer_roots_monic_cubic(c.A, c.B):
         candidates.add((x, 0))
+    sieve = _residue_sieve(c.A, c.B)
     for y in divisors(root_part):
+        if not all(y % q in residues for q, residues in sieve):
+            continue
         for x in integer_roots_monic_cubic(c.A, c.B - y * y):
             candidates.add((x, y))
             candidates.add((x, -y))

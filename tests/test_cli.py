@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from torsionforms import cli
+from torsionforms.exact import int_to_decimal
 from torsionforms.records import CurveRecord
 
 CLI = [sys.executable, "-m", "torsionforms"]
@@ -31,6 +33,14 @@ class TestDetectCommand:
     def test_singular_curve_is_usage_error(self):
         r = run("detect", "0", "0", "5")
         assert r.returncode == 1
+
+    def test_proven_prime_cofactor_lets_the_oracle_answer(self):
+        # |disc| has the factor 626176232699 < (10**6)**2, which trial
+        # division to 10**6 proves prime
+        r = run("detect", "--", "-1234567", "7654321", "7")
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert report["agree"] and not report["present"]
 
     def test_residual_scale_exits_with_discrepancy_code(self):
         # 2-twist of the order-7 curve: present, but no plain integral solution
@@ -129,6 +139,14 @@ class TestBoundCommand:
         r = run("bound", "9", "23944605696")
         assert "t = 3" in r.stdout
         assert str(7**375 + 6 * 7 ** (8 * 4)) in r.stdout
+
+    def test_order7_bound_leaves_int_str_limit_alone(self, capsys):
+        # M_7(3) has ~16k digits, past the default int-to-str limit
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["bound", "7", "23944605696"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        assert out == f"t = 3\nM_7(3) = {int_to_decimal(7**19440 + 6 * 7 ** (70 * 4))}\n"
 
     def test_zero_delta_error(self):
         r = run("bound", "5", "0")

@@ -3,13 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from torsionforms import exact
 from torsionforms.exact import (
     HomForm,
     IntPoly,
+    decimal_to_int,
     divisors,
     factorize,
+    int_to_decimal,
     integer_nth_root,
     integer_roots_monic_cubic,
     rational_nth_root,
@@ -174,22 +177,55 @@ class TestFactorize:
         primes, cofactor = factorize(m, trial_limit=1000)
         assert primes == {2: 2}
         assert cofactor == 1000003 * 1000033
+        # 1009**2 needs trial division past 1000 to be told from a prime
+        assert factorize(3 * 1009**2, trial_limit=1000) == ({3: 1}, 1009**2)
 
     def test_primes_bounded_by_limit(self):
+        # the loop stops at 101**2 > 10007, which proves 10007 prime
         primes, cofactor = factorize(2 * 10007, trial_limit=1000)
-        assert primes == {2: 1}
-        assert cofactor == 10007  # proven prime, still reported as cofactor
+        assert primes == {2: 1, 10007: 1}
+        assert cofactor == 1
+        assert factorize(16 * 1000003) == ({2: 4, 1000003: 1}, 1)
+        # 626176232699 < (10**6)**2, so trial division to 10**6 proves it prime
+        assert factorize(626176232699) == ({626176232699: 1}, 1)
 
     def test_roundtrip_random(self):
+        # trial division to 10**6 proves every m <= 10**12 completely factored
         rng = random.Random(5)
         for _ in range(1000):
             m = rng.randint(1, 10**12) * rng.choice((1, -1))
             primes, cofactor = factorize(m)
-            prod = cofactor
+            assert cofactor == 1
+            prod = 1
             for p, e in primes.items():
-                assert p <= 10**6
+                assert sympy.isprime(p)
                 prod *= p**e
             assert prod * (1 if m > 0 else -1) == m
+
+
+class TestDecimalStrings:
+    def test_matches_str(self):
+        rng = random.Random(3)
+        for digits in (1, 5, 999, 1000, 1001, 2500):
+            for _ in range(5):
+                n = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+                assert int_to_decimal(n) == str(n)
+                assert decimal_to_int(str(n)) == n
+        assert int_to_decimal(0) == "0"
+        assert int_to_decimal(10**2000) == "1" + "0" * 2000
+
+    def test_past_the_int_str_limit(self):
+        n = -(7**20000 + 12345)  # 16902 digits; str(n) raises at the default limit
+        s = int_to_decimal(n)
+        assert len(s) == 16903 and s[0] == "-"
+        assert s[-100:] == f"{-n % 10**100:0100d}"
+        assert decimal_to_int(s) == n
+        assert decimal_to_int("+" + s[1:]) == -n
+
+    def test_rejects_non_decimal(self):
+        for bad in ("", "-", "1.5", "1_000", " 7", "0x10", "--3", "٣"):
+            with pytest.raises(ValueError):
+                decimal_to_int(bad)
 
 
 class TestSquareRoots:

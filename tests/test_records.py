@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torsionforms import FamilyDataError, Witness, generate_curve
+from torsionforms import FamilyDataError, Witness, generate_curve, twist_point, twist_scale
 from torsionforms.records import CurveRecord
 
 
@@ -30,6 +30,22 @@ class TestSerialization:
 
     def test_csv_row(self, record):
         assert record.to_csv_row() == "5,1,1,1,-432,8208,Z/5Z"
+
+    def test_round_trip_past_int_str_limit(self, record):
+        # u = 10**900 scales B by 10**5400 and delta by 10**10800
+        u = 10**900
+        big = CurveRecord(
+            n=record.n, p=record.p, q=record.q, k=record.k,
+            curve=twist_scale(record.curve, u), delta=record.delta * u**12,
+            points=tuple(twist_point(P, u) for P in record.points),
+            group_label=record.group_label, provenance=record.provenance, form=record.form,
+        )
+        line = big.to_json_line()
+        assert len(json.loads(line)["B"]) > 5000
+        again = CurveRecord.from_json_line(line)
+        assert again == big
+        assert again.to_json_line() == line
+        assert big.to_csv_row().endswith(",Z/5Z")
 
     def test_fractional_branch_round_trip(self):
         rec = generate_curve(Witness(7, 2, 1, F(1, 3)))

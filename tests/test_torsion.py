@@ -1,22 +1,53 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from torsionforms import (
+    FAMILIES,
+    FAMILY_ORDERS,
     Curve,
+    DegenerateParameterError,
     INFINITY,
     MAZUR_LABELS,
     OracleUnavailableError,
     Point,
+    SideConditionError,
+    SingularCurveError,
     Witness,
     add,
     eval_AB,
+    generate_curve,
     has_point_of_order,
     neg,
     point_order,
     torsion_points,
     torsion_structure,
+    twist_scale,
 )
+from torsionforms import torsion
+from torsionforms.exact import divisors, factorize, integer_roots_monic_cubic
+
+
+def square_divisors(c: Curve) -> list[int]:
+    """The y > 0 with y**2 dividing the discriminant."""
+    primes, cofactor = factorize(c.disc)
+    if cofactor != 1:
+        raise OracleUnavailableError(f"cofactor {cofactor}")
+    return divisors({p: e // 2 for p, e in primes.items() if e >= 2})
+
+
+def unsieved_torsion_points(c: Curve) -> frozenset:
+    """The oracle without its residue sieve: every square divisor y of the
+    discriminant is solved for x."""
+    points = {INFINITY}
+    for y in [0] + square_divisors(c):
+        for x in integer_roots_monic_cubic(c.A, c.B - y * y):
+            for P in {Point(x, y), Point(x, -y)}:
+                if point_order(c, P, cap=12) is not None:
+                    points.add(P)
+    return frozenset(points)
 
 
 class TestTorsionPoints:
@@ -106,3 +137,55 @@ class TestHasPointOfOrder:
             if den != 1:
                 A, B = A * 6**4, B * 6**6
             assert has_point_of_order(Curve(int(A), int(B)), n)
+
+
+class TestResidueSieve:
+    """The sieve only skips candidates that cannot be y-coordinates."""
+
+    SETTINGS = dict(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+    def assert_matches_unsieved(self, c: Curve):
+        try:
+            expected = unsieved_torsion_points(c)
+        except OracleUnavailableError:
+            with pytest.raises(OracleUnavailableError):
+                torsion_points(c)
+            return
+        assert torsion_points(c) == expected
+
+    @settings(max_examples=200, **SETTINGS)
+    @given(A=st.integers(-10**4, 10**4), B=st.integers(-10**4, 10**4), u=st.integers(1, 6))
+    def test_random_curves(self, A, B, u):
+        # the twist by u multiplies the discriminant by u**12: many square divisors
+        try:
+            c = twist_scale(Curve(A, B), u)
+        except SingularCurveError:
+            reject()
+        self.assert_matches_unsieved(c)
+
+    @settings(max_examples=60, **SETTINGS)
+    @given(n=st.sampled_from(FAMILY_ORDERS), p=st.integers(-4, 4), q=st.integers(-4, 4),
+           branch=st.integers(0, 2))
+    def test_generated_curves(self, n, p, q, branch):
+        kset = FAMILIES[n].kset
+        try:
+            rec = generate_curve(Witness(n, p, q, kset[branch % len(kset)]))
+        except (SideConditionError, DegenerateParameterError):
+            reject()
+        self.assert_matches_unsieved(rec.curve)
+
+    def test_prunes_cubic_solves(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return integer_roots_monic_cubic(a, b)
+
+        monkeypatch.setattr(torsion, "integer_roots_monic_cubic", counted)
+        torsion_points.cache_clear()
+        rec = generate_curve(Witness(9, 17, -11, F(1)))
+        assert rec.group_label == "Z/9Z"
+        squares = len(square_divisors(rec.curve))
+        assert squares > 30000
+        assert len(calls) <= squares // 100
