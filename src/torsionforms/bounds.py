@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import IncompleteFactorizationError
-from .exact import HomForm, factorize
+from .exact import HomForm, factorize, int_to_decimal
 
 DISC_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -127,7 +127,8 @@ def prime_factor_count(delta: int, trial_limit: int = 10**6) -> int:
     primes, cofactor = factorize(delta, trial_limit)
     if cofactor != 1:
         raise IncompleteFactorizationError(
-            f"|delta| = {abs(delta)} left unfactored cofactor {cofactor} "
+            f"|delta| = {int_to_decimal(abs(delta))} left unfactored cofactor "
+            f"{int_to_decimal(cofactor)} "
             f"at trial limit {trial_limit}"
         )
     return len(primes)

@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
 
 def cmd_detect(args) -> int:
     curve = Curve(args.A, args.B)
-    trace = detect(curve, args.n, args.trial_limit)
+    trace = detect(curve, args.n)
     oracle = has_point_of_order(curve, args.n, args.trial_limit)
     report = {
         "A": str(args.A),

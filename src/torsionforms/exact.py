@@ -2,8 +2,9 @@
 
 Integers are plain ``int`` (unbounded), rationals are ``fractions.Fraction``
 (always reduced, positive denominator).  On top of those this module provides
-dense univariate integer polynomials, homogeneous bivariate forms, rational
-root extraction, trial-division factorization, and exact n-th roots.
+dense univariate integer polynomials, homogeneous bivariate forms, exact
+rational roots by p-adic (Newton-Hensel) lifting, with no factorization and no
+search bound, trial-division factorization, and exact n-th roots.
 """
 
 from __future__ import annotations
@@ -310,118 +311,100 @@ def rational_square_root(x) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# rational roots of integer polynomials
+# rational roots of integer polynomials, by p-adic lifting
 
-def _sympy_rational_roots(f: IntPoly) -> set[Fraction]:
-    from sympy import Poly, Symbol
-
-    x = Symbol("x")
-    roots: set[Fraction] = set()
-    _, factors = Poly(list(reversed(f.coeffs)), x).factor_list()
-    for fac, _mult in factors:
-        if fac.degree() == 1:
-            lead, const = (int(c) for c in fac.all_coeffs())
-            roots.add(Fraction(-const, lead))
-    return roots
+# primes with a multiple root mod p before the squarefree part is taken: the
+# gcd with f' costs far more on a matching polynomial than a few more primes
+_SQUAREFREE_AFTER = 3
 
 
-def rational_roots(
-    poly: IntPoly, trial_limit: int = 10**6, candidate_cap: int = 4096
-) -> set[Fraction]:
+def _primes_from(p: int):
+    while True:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _eval_mod(coeffs: tuple[int, ...], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _derivative(f: IntPoly) -> IntPoly:
+    return IntPoly(i * c for i, c in enumerate(f.coeffs) if i)
+
+
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(q, r) with lead(b)**k * a == q * b + r and deg r < deg b, for some k."""
+    r, q, lead, db = list(a.coeffs), [], b.coeffs[-1], b.degree
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            r, q = [lead * c for c in r], [lead * c for c in q]
+            shift = len(r) - db
+            for i, c in enumerate(b.coeffs[:-1]):
+                r[shift + i] -= top * c
+        q.append(top)
+    return IntPoly(reversed(q)), IntPoly(r)
+
+
+def _squarefree_part(f: IntPoly) -> IntPoly:
+    """f over gcd(f, f'), the gcd by the primitive polynomial remainder sequence."""
+    a, b = f, _derivative(f)
+    while not b.is_zero():
+        a, b = b, _pseudo_divmod(a, b)[1].primitive_part()
+    return _pseudo_divmod(f, a)[0].primitive_part()
+
+
+def rational_roots(poly: IntPoly) -> set[Fraction]:
     """Exactly the rational roots of ``poly`` (not identically zero).
 
-    Candidates r/s with r dividing the constant and s the leading coefficient
-    of the content- and x-power-stripped polynomial are verified by exact
-    evaluation.  When either coefficient does not factor within ``trial_limit``
-    (or the candidate set is very large) the complete answer is obtained from
-    an exact polynomial factorization instead.
+    The content and the power of x are stripped.  At the first prime p >= 5
+    that does not divide the leading coefficient and at which every root of
+    f mod p is simple, each such root is Newton-lifted mod p, p**2, p**4, ...
+    past twice the bound |lead| + max|c_i| on lead * r for a rational root r.
+    The symmetric residue of lead * (lift) over lead is the only rational
+    root in that class mod p; it is kept only when exact evaluation gives 0.
+    The squarefree part is taken only after a few primes have failed, after
+    which almost every prime succeeds.
     """
     if poly.is_zero():
         raise ValueError("root set of the zero polynomial is undefined")
     f = poly.primitive_part()
     v = f.valuation()
-    roots: set[Fraction] = set()
-    if v:
-        roots.add(Fraction(0))
-        f = f.strip_x_power(v)
-    if f.degree == 0:
+    roots = {Fraction(0)} if v else set()
+    f = f.strip_x_power(v)
+    df = _derivative(f)
+    failures = 0
+    for p in _primes_from(5):
+        lead = f.coeffs[-1]
+        if lead % p == 0:
+            continue
+        fp = tuple(c % p for c in f.coeffs)
+        residues = [x for x in range(p) if _eval_mod(fp, x, p) == 0]
+        if any(_eval_mod(df.coeffs, x, p) == 0 for x in residues):
+            failures += 1
+            if failures == _SQUAREFREE_AFTER:
+                f = _squarefree_part(f)
+                df = _derivative(f)
+            continue
+        bound = 2 * (abs(lead) + max(abs(c) for c in f.coeffs))
+        for x in residues:
+            m = p
+            while m <= bound:
+                m *= m
+                x = (x - _eval_mod(f.coeffs, x, m) * pow(_eval_mod(df.coeffs, x, m), -1, m)) % m
+            num = lead * x % m
+            if num > m // 2:
+                num -= m
+            r = Fraction(num, lead)
+            if f.eval_pair(r.numerator, r.denominator) == 0:
+                roots.add(r)
         return roots
-    if f.degree == 1:
-        roots.add(Fraction(-f.coeffs[0], f.coeffs[1]))
-        return roots
-
-    c0, cd = abs(f.coeffs[0]), abs(f.coeffs[-1])
-    fac0, cof0 = factorize(c0, trial_limit)
-    facd, cofd = factorize(cd, trial_limit)
-    if cof0 == 1 and cofd == 1:
-        # count the candidates before building them: smooth coefficients
-        # have millions of divisors, and the fallback below needs none
-        if math.prod(e + 1 for e in (*fac0.values(), *facd.values())) <= candidate_cap:
-            d0, dd = divisors(fac0), divisors(facd)
-            f1, fm1 = f(1), f(-1)
-            for s in dd:
-                for r in d0:
-                    if math.gcd(r, s) != 1:
-                        continue
-                    for rr in (r, -r):
-                        if f1 and rr != s and f1 % (rr - s):
-                            continue
-                        if fm1 and rr != -s and fm1 % (rr + s):
-                            continue
-                        if f.eval_pair(rr, s) == 0:
-                            roots.add(Fraction(rr, s))
-            return roots
-    return roots | _sympy_rational_roots(f)
-
-
-# ---------------------------------------------------------------------------
-# integer roots of monic cubics (Nagell-Lutz candidate solver)
-
-def _bisect_increasing(f, lo: int, hi: int) -> Optional[int]:
-    if lo > hi:
-        return None
-    flo, fhi = f(lo), f(hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if flo > 0 or fhi < 0:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-    return None
 
 
 def integer_roots_monic_cubic(a: int, b: int) -> list[int]:
-    """All integer roots of x**3 + a*x + b, by exact monotone bisection."""
-
-    def f(t: int) -> int:
-        return t * t * t + a * t + b
-
-    bound = 1 + max(abs(a), abs(b))
-    roots = set()
-    if a >= 0:
-        intervals = [(-bound, bound)]
-    else:
-        # critical points at +-sqrt(-a/3); split into three monotone pieces
-        k = math.isqrt((-a) // 3)
-        while 3 * (k + 1) * (k + 1) <= -a:
-            k += 1
-        ceil_r = k if 3 * k * k == -a else k + 1
-        intervals = [(-bound, -ceil_r), (ceil_r, bound)]
-        # the middle piece is decreasing; bisect its negation
-        r = _bisect_increasing(lambda t: -f(t), -k, k)
-        if r is not None:
-            roots.add(r)
-    for lo, hi in intervals:
-        r = _bisect_increasing(f, lo, hi)
-        if r is not None:
-            roots.add(r)
-    return sorted(roots)
+    """All integer roots of x**3 + a*x + b, in increasing order."""
+    return sorted(int(r) for r in rational_roots(IntPoly((b, a, 0, 1))))

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .curves import (
@@ -27,7 +28,7 @@ from .errors import (
 from .exact import rational_nth_root, rational_roots, rational_square_root
 from .families import FAMILIES, ThueFamily, fg_forms
 from .records import CurveRecord
-from .torsion import torsion_structure
+from .torsion import CACHE_SIZE, torsion_structure
 
 
 @dataclass(frozen=True)
@@ -165,38 +166,28 @@ def generate_curve(w: Witness, trial_limit: int = 10**6) -> CurveRecord:
 # ---------------------------------------------------------------------------
 # detection
 
-_ROOT_CACHE: dict[tuple[int, Fraction], tuple[Fraction, ...]] = {}
-
-
-def _matching_roots(n: int, c: Curve, trial_limit: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _matching_roots(n: int, j: Fraction) -> tuple[Fraction, ...]:
     """Rational roots of the u-eliminated matching polynomial
 
         M(alpha) = B^2 numA(alpha)^3 denB(alpha)^2 - A^3 numB(alpha)^2 denA(alpha)^3.
 
-    The root set depends on the curve only through its j-invariant, so results
-    are cached per (n, j) and shared by all twists.
+    The root set depends on the curve only through j = a/b, so M is built as
+    4 (1728 b - a) numA^3 - 27 a numB^2, which is 186624 M / t for the t with
+    4 A^3 + 27 B^2 = t b, and cached per (n, j): all twists share an entry.
     """
-    key = (n, c.j_invariant)
-    cached = _ROOT_CACHE.get(key)
-    if cached is not None:
-        return cached
     fam = FAMILIES[n]
-    A, B = c.A, c.B
-    M = B * B * fam.tate_A_num**3 - A**3 * fam.tate_B_num**2
+    a, b = j.numerator, j.denominator
+    M = 4 * (1728 * b - a) * fam.tate_A_num**3 - 27 * a * fam.tate_B_num**2
     # the alpha-power denominators (n = 8) contribute equal alpha^12 factors
     # to both terms and drop out of the root set
     if M.is_zero():
         raise FamilyDataError(
             "matching polynomial vanished identically for a nonsingular curve"
         )
-    roots = tuple(
-        sorted(
-            rational_roots(M, trial_limit),
-            key=lambda a: (a <= 0, a.denominator, abs(a.numerator)),
-        )
+    return tuple(
+        sorted(rational_roots(M), key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
     )
-    _ROOT_CACHE[key] = roots
-    return roots
 
 
 def _witness_from_alpha_u(
@@ -233,7 +224,7 @@ def _witness_from_alpha_u(
     return None, m, b, f"branch factor {k_raw} has denominator outside the branch set"
 
 
-def detect(c: Curve, n: int, trial_limit: int = 10**6) -> Optional[DetectionTrace]:
+def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     """Decide whether ``c`` has a rational point of order n in {5, 7, 8, 9}.
 
     Returns None exactly when no such point exists.  When one exists, returns
@@ -246,7 +237,7 @@ def detect(c: Curve, n: int, trial_limit: int = 10**6) -> Optional[DetectionTrac
         raise ValueError(f"detection is defined for n in {sorted(FAMILIES)}, got {n}")
     fam = FAMILIES[n]
     best: Optional[DetectionTrace] = None
-    for alpha in _matching_roots(n, c, trial_limit):
+    for alpha in _matching_roots(n, c.j_invariant):
         if fam.tate_A_denpow and alpha == 0:
             continue
         An, Bn = fam.tate_value(alpha)

@@ -14,9 +14,13 @@ from functools import lru_cache
 
 from .curves import INFINITY, Curve, Point, PointLike, point_order
 from .errors import FamilyDataError, OracleUnavailableError
-from .exact import divisors, factorize, integer_roots_monic_cubic
+from .exact import divisors, factorize, int_to_decimal, integer_roots_monic_cubic
 
 MAZUR_ORDER_CAP = 12
+
+# entries kept by each per-curve cache (this oracle, thue's root searches),
+# so that a long run's memory stays bounded
+CACHE_SIZE = 4096
 
 # moduli of the residue sieve on Nagell-Lutz y-candidates
 SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
@@ -53,7 +57,7 @@ def _residue_sieve(A: int, B: int) -> list[tuple[int, frozenset]]:
     return tables
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def torsion_points(c: Curve, trial_limit: int = 10**6) -> frozenset:
     """Exactly the rational torsion points of ``c`` (the identity included).
 
@@ -63,7 +67,8 @@ def torsion_points(c: Curve, trial_limit: int = 10**6) -> frozenset:
     primes, cofactor = factorize(c.disc, trial_limit)
     if cofactor != 1:
         raise OracleUnavailableError(
-            f"|disc| = {abs(c.disc)} left unfactored cofactor {cofactor} "
+            f"|disc| = {int_to_decimal(abs(c.disc))} left unfactored cofactor "
+            f"{int_to_decimal(cofactor)} "
             f"at trial limit {trial_limit}"
         )
     # y**2 | disc  <=>  y divides the "square root part" of |disc|

@@ -159,6 +159,9 @@ class TestPrimeFactorCount:
     def test_incomplete_raises(self):
         with pytest.raises(IncompleteFactorizationError):
             prime_factor_count(1000003 * 1000033, trial_limit=1000)
+        # past the interpreter's 4300-digit int-to-str limit
+        with pytest.raises(IncompleteFactorizationError):
+            prime_factor_count(7 * 1000003**800, trial_limit=1000)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

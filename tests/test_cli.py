@@ -160,3 +160,35 @@ class TestBoundCommand:
 def test_help_runs():
     r = run("--help")
     assert r.returncode == 0
+
+
+WITHOUT_SYMPY = r"""
+import sys
+
+class RefuseSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "sympy":
+            raise ImportError("sympy is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseSympy())
+
+from torsionforms import Curve, cli, detect
+
+curves = [
+    (1234567891, -9876543211),
+    (1234567890123456789012345678901234567891, -9876543210987654321098765432109876543211),
+    (-43, 166),
+]
+for A, B in curves:
+    for n in (5, 7, 8, 9):
+        detect(Curve(A, B), n)
+assert detect(Curve(-43, 166), 7).witness is not None
+assert cli.main(["generate", "7", "2", "1", "--k", "1/3"]) == 0
+assert cli.main(["scan", "7", "--search-bound", "2", "--k", "1"]) == 0
+"""
+
+
+def test_runs_without_sympy():
+    r = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torsionforms import exact
 from torsionforms.exact import (
@@ -135,14 +137,15 @@ class TestRationalRoots:
                             assert f(cand) != 0
 
     def test_candidates_counted_before_divisors_are_built(self, monkeypatch):
-        # 41 * 41 candidates exceed the cap, so the fallback answers and no
-        # divisor list is built
-        def no_divisors(primes):
-            raise AssertionError("divisor list built past candidate_cap")
+        # 41 * 41 divisor candidates; the p-adic search neither factors the
+        # end coefficients nor lists their divisors
+        def refuse(*args):
+            raise AssertionError("root search factored a coefficient")
 
-        monkeypatch.setattr(exact, "divisors", no_divisors)
+        monkeypatch.setattr(exact, "factorize", refuse)
+        monkeypatch.setattr(exact, "divisors", refuse)
         f = IntPoly((-(2**40), 0, 3**40))
-        roots = rational_roots(f, candidate_cap=1000)
+        roots = rational_roots(f)
         assert roots == {F(2**20, 3**20), F(-(2**20), 3**20)}
 
     def test_divisor_and_factorization_paths_agree(self):
@@ -154,9 +157,54 @@ class TestRationalRoots:
             f = IntPoly(coeffs)
             if f.is_zero() or f.degree < 1:
                 continue
-            via_divisors = rational_roots(f, trial_limit=10**6)
-            via_factor = rational_roots(f, trial_limit=10**6, candidate_cap=0)
-            assert via_divisors == via_factor
+            assert rational_roots(f) == sympy_rational_roots(f)
+
+
+def sympy_rational_roots(f: IntPoly) -> set:
+    """The rational roots of f from sympy's factorization over Z."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), x).factor_list()
+    roots = set()
+    for fac, _ in factors:
+        if fac.degree() == 1:
+            lead, const = (int(c) for c in fac.all_coeffs())
+            roots.add(F(-const, lead))
+    return roots
+
+
+def _rational(draw, digits):
+    r = F(
+        draw(st.integers(-(10**digits), 10**digits)),
+        draw(st.integers(1, 10 ** (digits // 2 + 1))),
+    )
+    return IntPoly((-r.numerator, r.denominator))
+
+
+@st.composite
+def planted_polynomials(draw):
+    """A content times planted linear factors of multiplicity 1-3 times
+    random factors of degree 2-4 (nearly always irreducible)."""
+    f = IntPoly((draw(st.integers(1, 10**30)) * draw(st.sampled_from((1, -1))),))
+    for _ in range(draw(st.integers(0, 4))):
+        f = f * _rational(draw, draw(st.integers(1, 30))) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        g = IntPoly(draw(st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=5)))
+        if g.degree >= 2:
+            f = f * g ** draw(st.integers(1, 2))
+    return f
+
+
+class TestRationalRootsDifferential:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(planted_polynomials())
+    # multiple roots mod every prime, so their squarefree parts are taken
+    @example(
+        IntPoly((-2, 0, 1)) ** 2 * IntPoly((-3, 0, 1)) ** 2
+        * IntPoly((-6, 0, 1)) ** 2 * IntPoly((-5, 7)) ** 3
+    )
+    @example(IntPoly((1, 2, 1)) ** 5 * IntPoly((0, 0, 4)))
+    def test_matches_sympy(self, f):
+        assert rational_roots(f) == sympy_rational_roots(f)
 
 
 class TestFactorize:
@@ -261,6 +309,8 @@ class TestCubicRoots:
         assert integer_roots_monic_cubic(1, 1) == []
         assert integer_roots_monic_cubic(1, 2) == [-1]
         assert integer_roots_monic_cubic(-1, 0) == [-1, 0, 1]
+        assert integer_roots_monic_cubic(-3, 2) == [-2, 1]
+        assert integer_roots_monic_cubic(-12, 16) == [-4, 2]
 
     def test_large_coefficients(self):
         # three roots spread around huge critical points

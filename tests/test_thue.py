@@ -21,8 +21,10 @@ from torsionforms import (
     point_order,
     scalar_mul,
     twist_point,
+    torsion_points,
     twist_scale,
 )
+from torsionforms import thue
 
 BRANCH_NECESSITY_CURVES = [
     (-43, 166, 7, F(1, 3)),
@@ -143,6 +145,16 @@ class TestDetect:
             c = Curve(A, B)
             for n in (5, 7, 8, 9):
                 assert detect(c, n) is None
+
+    def test_root_cache_is_bounded_and_shared_by_twists(self):
+        maxsize = thue._matching_roots.cache_info().maxsize
+        assert maxsize is not None and maxsize == torsion_points.cache_info().maxsize
+        thue._matching_roots.cache_clear()
+        c = Curve(-43, 166)
+        assert detect(c, 7) is not None
+        assert detect(twist_scale(c, 5), 7) is not None
+        info = thue._matching_roots.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_order5_round_trip(self):
         trace = detect(Curve(-432, 8208), 5)

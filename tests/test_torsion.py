@@ -87,6 +87,9 @@ class TestTorsionPoints:
         # disc = -432 * 1000003^2; the square prime factor exceeds the limit
         with pytest.raises(OracleUnavailableError):
             torsion_points(Curve(0, 1000003), trial_limit=10**4)
+        # past the interpreter's 4300-digit int-to-str limit
+        with pytest.raises(OracleUnavailableError):
+            torsion_points(Curve(0, 1000003**400), trial_limit=1000)
 
 
 class TestTorsionStructure:
