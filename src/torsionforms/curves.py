@@ -134,13 +134,36 @@ def scalar_mul(c: Curve, m: int, P: PointLike) -> PointLike:
 
 
 def point_order(c: Curve, P: PointLike, cap: int = 16) -> Optional[int]:
-    """Least m >= 1 with m*P = O, or None if the order exceeds ``cap``."""
+    """Least m >= 1 with m*P = O, or None if the order exceeds ``cap``.
+
+    Runs in integers.  On an integral model, which :class:`Curve` enforces,
+    a point of finite order and all its multiples have integral coordinates
+    (Nagell-Lutz; Silverman, AEC VIII.7.2).  So a non-integral P, or a slope
+    that does not divide exactly (its multiple is then non-integral), means
+    infinite order and gives None.
+    """
     _require_on_curve(c, P)
-    Q = P
-    for m in range(1, cap + 1):
-        if Q is INFINITY:
-            return m
-        Q = _add_unchecked(c, Q, P)
+    if cap < 1:
+        return None
+    if P is INFINITY:
+        return 1
+    if P.x.denominator != 1 or P.y.denominator != 1:
+        return None
+    x0, y0 = P.x.numerator, P.y.numerator
+    x, y = x0, y0
+    # (x, y) = (m - 1)P; step to mP
+    for m in range(2, cap + 1):
+        if x == x0:
+            if y == -y0:
+                return m
+            num, den = 3 * x * x + c.A, 2 * y
+        else:
+            num, den = y0 - y, x0 - x
+        lam, rem = divmod(num, den)
+        if rem:
+            return None
+        x3 = lam * lam - x - x0
+        x, y = x3, lam * (x - x3) - y
     return None
 
 

@@ -72,9 +72,13 @@ class ThueFamily:
         a = Fraction(alpha)
         if self.tate_A_denpow and a == 0:
             raise ZeroDivisionError(f"A_{self.n} has a pole at alpha = 0")
-        A = Fraction(self.tate_A_num(a)) / a**self.tate_A_denpow
-        B = Fraction(self.tate_B_num(a)) / a**self.tate_B_denpow
-        return A, B
+        r, s = a.numerator, a.denominator
+        # num(r/s) / (r/s)**e = eval_pair(r, s) * s**e / (s**deg * r**e)
+        return tuple(
+            Fraction(num.eval_pair(r, s) * s**e, s**num.degree * r**e)
+            for num, e in ((self.tate_A_num, self.tate_A_denpow),
+                           (self.tate_B_num, self.tate_B_denpow))
+        )
 
 
 def _family_5() -> ThueFamily:

@@ -23,7 +23,12 @@ def _rational_to_decimal(x: Fraction) -> str:
 
 
 def _decimal_to_rational(s: str) -> Fraction:
-    return Fraction(*(decimal_to_int(part) for part in s.split("/", 1)))
+    """Inverse of :func:`_rational_to_decimal`; raises ``ValueError`` on
+    anything but ``int`` or ``int/int`` with a nonzero denominator."""
+    parts = [decimal_to_int(part) for part in s.split("/", 1)]
+    if parts[1:] == [0]:
+        raise ValueError(f"zero denominator in {s[:40]!r}")
+    return Fraction(*parts)
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class CurveRecord:
             n=decimal_to_int(d["n"]),
             p=decimal_to_int(d["p"]),
             q=decimal_to_int(d["q"]),
-            k=Fraction(d["k"]),
+            k=_decimal_to_rational(d["k"]),
             curve=Curve(decimal_to_int(d["A"]), decimal_to_int(d["B"])),
             delta=decimal_to_int(d["delta"]),
             points=tuple(Point(_decimal_to_rational(x), _decimal_to_rational(y))

@@ -15,10 +15,8 @@ from .curves import (
     Curve,
     Point,
     disc_AB,
-    on_curve,
     point_order,
     twist_point,
-    twist_scale,
 )
 from .errors import (
     DegenerateParameterError,
@@ -266,9 +264,14 @@ def _validate_trace(c: Curve, w: Witness, scale: int) -> None:
     F, G = eval_FG(w)
     if scale**4 * F != 1296 * c.A or scale**6 * G != 46656 * c.B:
         raise FamilyDataError("witness failed the 6-scaled system validation")
-    six = twist_scale(c, 6)
+    # the points map to (6 scale)**2 x, (6 scale)**3 y on the 6-twist; with
+    # k = 1/b, b | 6, those are integers, so both divisions are exact
+    sx, sy = (6 * scale) ** 2, (6 * scale) ** 3
+    A6, B6 = 1296 * c.A, 46656 * c.B
     for P in order_n_points(w):
-        if not on_curve(six, twist_point(P, 6 * scale)):
+        x = sx * P.x.numerator // P.x.denominator
+        y = sy * P.y.numerator // P.y.denominator
+        if y * y != x**3 + A6 * x + B6:
             raise FamilyDataError("witness points do not map onto the curve's 6-twist")
 
 

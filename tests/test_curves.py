@@ -1,18 +1,27 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from torsionforms import (
+    FAMILIES,
+    FAMILY_ORDERS,
     Curve,
+    DegenerateParameterError,
     INFINITY,
     OffCurveError,
+    OracleUnavailableError,
     Point,
+    SideConditionError,
     SingularCurveError,
     Witness,
     add,
     disc_AB,
     eval_AB,
+    generate_curve,
     neg,
     on_curve,
     order_n_points,
@@ -23,6 +32,7 @@ from torsionforms import (
     twist_point,
     twist_scale,
 )
+from torsionforms import curves
 
 
 class TestDiscriminant:
@@ -139,6 +149,106 @@ class TestPointOrder:
             report = torsion_structure(c)
             for P in report.points:
                 assert report.exponent % point_order(c, P) == 0
+
+
+def fraction_point_order(c, P, cap=16):
+    """Reference: the chord-and-tangent walk P, 2P, ... in Fraction."""
+    if not on_curve(c, P):
+        raise OffCurveError(f"{P!r} is not on {c!r}")
+    Q = P
+    for m in range(1, cap + 1):
+        if Q is INFINITY:
+            return m
+        if Q.x == P.x:
+            if Q.y == -P.y:
+                Q = INFINITY
+                continue
+            lam = (3 * Q.x * Q.x + c.A) / (2 * Q.y)
+        else:
+            lam = (P.y - Q.y) / (P.x - Q.x)
+        x3 = lam * lam - Q.x - P.x
+        Q = Point(x3, lam * (Q.x - x3) - Q.y)
+    return None
+
+
+def integral_points(c, bound=30):
+    """The affine points of ``c`` with |x| <= bound and integral y."""
+    pts = []
+    for x in range(-bound, bound + 1):
+        rhs = x**3 + c.A * x + c.B
+        if rhs >= 0:
+            y = math.isqrt(rhs)
+            if y * y == rhs:
+                pts += [Point(x, y), Point(x, -y)]
+    return pts
+
+
+class TestPointOrderOverIntegers:
+    """point_order runs in integers; it must agree with the Fraction walk."""
+
+    SETTINGS = dict(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    NON_TORSION = Point(3, 5)  # on Y^2 = X^3 - 2
+
+    def assert_agrees(self, c, points):
+        for P in points:
+            for cap in range(17):
+                assert point_order(c, P, cap) == fraction_point_order(c, P, cap), (c, P, cap)
+
+    @settings(max_examples=150, **SETTINGS)
+    @given(A=st.integers(-10**4, 10**4), B=st.integers(-10**4, 10**4))
+    def test_random_curves(self, A, B):
+        try:
+            c = Curve(A, B)
+        except SingularCurveError:
+            reject()
+        try:
+            torsion = torsion_points(c)
+        except OracleUnavailableError:
+            torsion = frozenset({INFINITY})
+        self.assert_agrees(c, sorted(torsion | set(integral_points(c)), key=repr))
+
+    @settings(max_examples=40, **SETTINGS)
+    @given(n=st.sampled_from(FAMILY_ORDERS), p=st.integers(-4, 4), q=st.integers(-4, 4),
+           branch=st.integers(0, 2))
+    def test_printed_points_of_generated_curves(self, n, p, q, branch):
+        kset = FAMILIES[n].kset
+        try:
+            rec = generate_curve(Witness(n, p, q, kset[branch % len(kset)]))
+        except (SideConditionError, DegenerateParameterError):
+            reject()
+        # the oracle already ran on this curve, so torsion_points is cached
+        self.assert_agrees(rec.curve, sorted(set(rec.points) | torsion_points(rec.curve), key=repr))
+
+    def test_non_torsion_point_and_its_multiples(self):
+        c = Curve(0, -2)
+        P = self.NON_TORSION
+        P2 = add(c, P, P)
+        assert P2.x.denominator != 1  # (129/100, -383/1000)
+        self.assert_agrees(c, [P, neg(P), P2, add(c, P2, P), INFINITY])
+        assert point_order(c, P2) is None
+
+    def test_cap_below_order(self):
+        c, P = Curve(-432, 8208), Point(-12, 108)
+        assert [point_order(c, P, cap) for cap in range(7)] == [None] * 5 + [5, 5]
+        assert point_order(c, INFINITY, 0) is None
+
+    @pytest.mark.parametrize("P", [Point(1, 1), Point(F(1, 2), F(1, 3)), Point(-12, F(108, 5))])
+    @pytest.mark.parametrize("cap", [0, 16])
+    def test_off_curve_rejected(self, P, cap):
+        with pytest.raises(OffCurveError):
+            point_order(Curve(-432, 8208), P, cap)
+
+    def test_no_rational_group_law(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("point_order used the rational group law")
+
+        monkeypatch.setattr(curves, "_add_unchecked", forbidden)
+        assert point_order(Curve(-432, 8208), Point(-12, 108)) == 5
+        assert point_order(Curve(-1, 0), Point(1, 0)) == 2
+        assert point_order(Curve(0, -2), self.NON_TORSION) is None
+        A, B = eval_AB(Witness(7, 2, 1, F(1)))
+        assert point_order(Curve(int(A), int(B)), twist_point(Point(3, 8), 3)) == 7
 
 
 class TestTwist:

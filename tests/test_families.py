@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionforms import (
     FAMILIES,
@@ -54,6 +56,22 @@ class TestFamilyTables:
         for fam in FAMILIES.values():
             assert rational_roots(fam.tate_A_num) == set()
             assert rational_roots(fam.tate_B_num) == set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(-10**6, 10**6), s=st.integers(1, 10**6))
+    def test_tate_value_matches_fraction_horner(self, r, s):
+        a = F(r, s)
+        for fam in FAMILIES.values():
+            if fam.tate_A_denpow and a == 0:
+                with pytest.raises(ZeroDivisionError):
+                    fam.tate_value(a)
+                continue
+            assert fam.tate_value(a) == (
+                F(fam.tate_A_num(a)) / a**fam.tate_A_denpow,
+                F(fam.tate_B_num(a)) / a**fam.tate_B_denpow,
+            )
+            if a.denominator == 1:
+                assert fam.tate_value(a.numerator) == fam.tate_value(a)
 
     def test_form_anchor_values(self):
         assert FAMILIES[5].U(1, 1) == 16

@@ -79,6 +79,20 @@ class TestValidation:
         with pytest.raises(FamilyDataError):
             CurveRecord.from_dict(d)
 
+    @pytest.mark.parametrize("k", ["1/0", "1_0", "1.0", " 1", "1/3/1", ""])
+    def test_malformed_k_rejected(self, k):
+        d = generate_curve(Witness(5, 2, 1, F(1))).to_dict()
+        d["k"] = k
+        with pytest.raises(ValueError):
+            CurveRecord.from_dict(d)
+
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_zero_denominator_point_rejected(self, coord):
+        d = generate_curve(Witness(5, 2, 1, F(1))).to_dict()
+        d["points"][0][coord] = "1/0"
+        with pytest.raises(ValueError):
+            CurveRecord.from_dict(d)
+
     def test_json_is_plain(self, record):
         parsed = json.loads(record.to_json_line())
         assert all(isinstance(v, (str, list)) for v in parsed.values())

@@ -1,12 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from torsionforms import (
     Curve,
     DegenerateParameterError,
     FAMILIES,
+    FAMILY_ORDERS,
+    FamilyDataError,
     SideConditionError,
     Witness,
     brute_force_witness_search,
@@ -203,6 +208,50 @@ class TestDetect:
         assert trace.discrepancy is not None
         assert trace.scale == 2
         assert has_point_of_order(c2, 7)
+
+
+class TestPositivePath:
+    """detect's answer on planted curves and their twists, checked exactly."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(n=st.sampled_from(FAMILY_ORDERS), p=st.integers(-6, 6), q=st.integers(-6, 6),
+           branch=st.integers(0, 1), u=st.integers(2, 13))
+    def test_twisted_planted_curves(self, n, p, q, branch, u):
+        fam = FAMILIES[n]
+        try:
+            w = Witness(n, p, q, fam.kset[branch % len(fam.kset)])
+            if disc_AB(*eval_AB(w)) == 0:
+                reject()
+        except SideConditionError:
+            reject()
+        c = twist_scale(_integral_curve(w), u)
+        trace = detect(c, n)
+        assert trace is not None
+        # the matching system, evaluated here in Fraction
+        a = trace.alpha
+        An = F(fam.tate_A_num(a)) / a**fam.tate_A_denpow
+        Bn = F(fam.tate_B_num(a)) / a**fam.tate_B_denpow
+        assert (trace.u**4 * c.A, trace.u**6 * c.B) == (An, Bn)
+        if trace.witness is not None:
+            thue._validate_trace(c, trace.witness, trace.scale)
+
+    def test_corrupted_point_table_rejected(self, monkeypatch):
+        fam = FAMILIES[7]
+        Y = fam.point_y
+        monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(fam, point_y=(2 * Y[0],) + Y[1:]))
+        with pytest.raises(FamilyDataError):
+            detect(Curve(-43, 166), 7)
+
+    def test_points_off_the_six_twist_rejected(self, monkeypatch):
+        # points moved onto the 2-twist of the witness curve are exact
+        # order-7 points of another curve: only the map onto c's 6-twist
+        # in _validate_trace can reject them
+        real = thue.order_n_points
+        monkeypatch.setattr(thue, "order_n_points",
+                            lambda w: [twist_point(P, 2) for P in real(w)])
+        with pytest.raises(FamilyDataError):
+            detect(Curve(-43, 166), 7)
 
 
 class TestBruteForce:
