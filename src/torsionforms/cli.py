@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -260,7 +261,16 @@ def main(argv=None) -> int:
             "verify-identities": cmd_verify_identities,
             "bound": cmd_bound,
         }[args.command]
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (``scan | head``): exit 1, and send the
+        # interpreter's own flush at exit to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR

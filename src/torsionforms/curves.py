@@ -149,14 +149,20 @@ def point_order(c: Curve, P: PointLike, cap: int = 16) -> Optional[int]:
         return 1
     if P.x.denominator != 1 or P.y.denominator != 1:
         return None
-    x0, y0 = P.x.numerator, P.y.numerator
+    return _integral_order(c.A, P.x.numerator, P.y.numerator, cap)
+
+
+def _integral_order(A: int, x0: int, y0: int, cap: int) -> Optional[int]:
+    """:func:`point_order` of the integral point (x0, y0) on an integral
+    model y**2 = x**3 + A*x + B (B does not enter the group law); the caller
+    has checked that the point lies on it and that cap >= 1."""
     x, y = x0, y0
     # (x, y) = (m - 1)P; step to mP
     for m in range(2, cap + 1):
         if x == x0:
             if y == -y0:
                 return m
-            num, den = 3 * x * x + c.A, 2 * y
+            num, den = 3 * x * x + A, 2 * y
         else:
             num, den = y0 - y, x0 - x
         lam, rem = divmod(num, den)

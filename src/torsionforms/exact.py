@@ -234,14 +234,39 @@ def _trial_candidates(limit: int):
         step = 6 - step
 
 
+# No composite below this bound is a strong probable prime to all of the
+# bases (Sorenson and Webster, Math. Comp. 86 (2017)), so below it the test
+# is a proof of primality.
+_SPRP_BOUND = 3317044064679887385961981
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_sprp(n: int, a: int) -> bool:
+    """Whether odd n > a is a strong probable prime to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
     """Trial-division factorization of ``m``.
 
     Returns ``(primes, cofactor)`` with ``primes`` a prime -> exponent table
     and ``cofactor >= 1`` the unfactored part (1 when complete).
     ``sign(m) * prod(p**e) * cofactor == m``.  A remainder is recorded as a
-    prime only when trial division has proved it one, that is, when it is
-    below ``(trial_limit + 1)**2``; primality is never guessed.
+    prime only when it is proved one: by trial division, when it is below
+    ``(trial_limit + 1)**2``, or by strong probable-prime tests to the 13
+    prime bases 2, ..., 41, when it is below ``_SPRP_BOUND``.  Primality is
+    never guessed.
     """
     if m == 0:
         raise ValueError("cannot factorize 0")
@@ -258,8 +283,8 @@ def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
                 n //= d
                 e += 1
             primes[d] = e
-    if n > 1 and math.isqrt(n) <= trial_limit:
-        # every prime up to sqrt(n) was tried and none divides n
+    if n > 1 and (math.isqrt(n) <= trial_limit or (
+            n < _SPRP_BOUND and all(_is_sprp(n, a) for a in _SPRP_BASES if a < n))):
         primes[n] = 1
         n = 1
     return primes, n

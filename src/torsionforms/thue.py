@@ -5,7 +5,6 @@ and the elimination-formula cross-checks."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -14,8 +13,8 @@ from typing import Optional
 from .curves import (
     Curve,
     Point,
+    _integral_order,
     disc_AB,
-    point_order,
     twist_point,
 )
 from .errors import (
@@ -97,39 +96,52 @@ def eval_FG(w: Witness) -> tuple[int, int]:
 def order_n_points(w: Witness) -> list[Point]:
     """The printed order-n points on the curve with coefficients ``eval_AB(w)``.
 
-    Every returned point is verified to lie on the curve and to have exact
-    order n; any failure is a hard error (it would mean a table bug, not a
-    data condition).
+    Every returned point is checked on the integral 6-twist, in int, to lie
+    on the curve and to have exact order n; any failure is a hard error (it
+    would mean a table bug, not a data condition).
+    """
+    return [_witness_point(x, y) for x, y in _six_twist_points(w)[2]]
+
+
+def _six_twist_points(w: Witness) -> tuple[int, int, list[tuple[int, int]]]:
+    """(F, G) = ``eval_FG(w)`` and the printed order-n points, as integer
+    pairs, on the 6-twist y**2 = x**3 + F*x + G of the witness curve.
+
+    The point (3 k**2 X, 108 k**3 Y) of the witness curve maps to
+    (3 (6k)**2 X, 108 (6k)**3 Y), and 6k is an integer on every branch (see
+    ``fg_forms``).  So the points and, on this integral model, all their
+    multiples are integral (Nagell-Lutz), and the checks run in int.
     """
     fam = w.family
-    A, B = eval_AB(w)
-    if disc_AB(A, B) == 0:
+    F, G = eval_FG(w)
+    if disc_AB(F, G) == 0:
         raise DegenerateParameterError(
             f"witness (p, q) = ({w.p}, {w.q}) generates a singular curve"
         )
+    s = int(6 * w.k)
+    cx, cy = 3 * s**2, 108 * s**3
     points = []
     for Xf, Yf in zip(fam.point_x, fam.point_y):
-        x = 3 * w.k**2 * Xf(w.p, w.q)
-        y = 108 * w.k**3 * Yf(w.p, w.q)
-        for P in (Point(x, y), Point(x, -y)):
-            if P.y * P.y != P.x**3 + A * P.x + B:
-                raise FamilyDataError(
-                    f"point {P!r} is off the n = {w.n} curve at (p, q, k) = "
-                    f"({w.p}, {w.q}, {w.k})"
-                )
-            points.append(P)
-    _verify_orders(w.n, A, B, points)
-    return points
+        x, y = cx * Xf(w.p, w.q), cy * Yf(w.p, w.q)
+        if y * y != x**3 + F * x + G:
+            raise FamilyDataError(
+                f"point {_witness_point(x, y)!r} is off the n = {w.n} curve at "
+                f"(p, q, k) = ({w.p}, {w.q}, {w.k})"
+            )
+        points += [(x, y), (x, -y)]
+    for x, y in points:
+        order = _integral_order(F, x, y, 16)
+        if order != w.n:
+            raise FamilyDataError(
+                f"point {_witness_point(x, y)!r} has order {order}, expected {w.n}"
+            )
+    return F, G, points
 
 
-def _verify_orders(n: int, A: Fraction, B: Fraction, points: list[Point]) -> None:
-    # scale to an integral model so the Curve-based group law applies
-    den = math.lcm(A.denominator, B.denominator)
-    c = Curve(int(A * den**4), int(B * den**6))
-    for P in points:
-        order = point_order(c, twist_point(P, den))
-        if order != n:
-            raise FamilyDataError(f"point {P!r} has order {order}, expected {n}")
+def _witness_point(x6: int, y6: int) -> Point:
+    """The point (x6/36, y6/216) of the witness curve that sits at (x6, y6)
+    on its 6-twist."""
+    return Point(Fraction(x6, 36), Fraction(y6, 216))
 
 
 def generate_curve(w: Witness, trial_limit: int = 10**6) -> CurveRecord:
@@ -261,16 +273,14 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
 
 
 def _validate_trace(c: Curve, w: Witness, scale: int) -> None:
-    F, G = eval_FG(w)
+    F, G, points = _six_twist_points(w)
     if scale**4 * F != 1296 * c.A or scale**6 * G != 46656 * c.B:
         raise FamilyDataError("witness failed the 6-scaled system validation")
-    # the points map to (6 scale)**2 x, (6 scale)**3 y on the 6-twist; with
-    # k = 1/b, b | 6, those are integers, so both divisions are exact
-    sx, sy = (6 * scale) ** 2, (6 * scale) ** 3
+    # (x, y) -> (scale**2 x, scale**3 y) maps the witness's 6-twist onto c's
+    sx, sy = scale**2, scale**3
     A6, B6 = 1296 * c.A, 46656 * c.B
-    for P in order_n_points(w):
-        x = sx * P.x.numerator // P.x.denominator
-        y = sy * P.y.numerator // P.y.denominator
+    for x, y in points:
+        x, y = sx * x, sy * y
         if y * y != x**3 + A6 * x + B6:
             raise FamilyDataError("witness points do not map onto the curve's 6-twist")
 

@@ -157,6 +157,21 @@ class TestBoundCommand:
         assert r.returncode == 1
 
 
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line and closes the pipe, as `scan ... | head -1` does
+    proc = subprocess.Popen(
+        CLI + ["scan", "5", "--pmin", "-3", "--pmax", "3", "--qmin", "-3", "--qmax", "3",
+               "--workers", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=120)
+    assert CurveRecord.from_json_line(first).n == 5
+    assert (proc.returncode, err) == (cli.EXIT_ERROR, "")
+
+
 def test_help_runs():
     r = run("--help")
     assert r.returncode == 0

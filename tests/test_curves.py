@@ -193,7 +193,11 @@ class TestPointOrderOverIntegers:
     def assert_agrees(self, c, points):
         for P in points:
             for cap in range(17):
-                assert point_order(c, P, cap) == fraction_point_order(c, P, cap), (c, P, cap)
+                expected = fraction_point_order(c, P, cap)
+                assert point_order(c, P, cap) == expected, (c, P, cap)
+                if cap and P is not INFINITY and P.x.denominator == P.y.denominator == 1:
+                    x, y = P.x.numerator, P.y.numerator
+                    assert curves._integral_order(c.A, x, y, cap) == expected, (c, P, cap)
 
     @settings(max_examples=150, **SETTINGS)
     @given(A=st.integers(-10**4, 10**4), B=st.integers(-10**4, 10**4))

@@ -237,6 +237,18 @@ class TestFactorize:
         # 626176232699 < (10**6)**2, so trial division to 10**6 proves it prime
         assert factorize(626176232699) == ({626176232699: 1}, 1)
 
+    def test_strong_probable_prime_proof(self):
+        # above (10**6 + 1)**2, so trial division alone leaves it unproved
+        assert factorize(3030429723107) == ({3030429723107: 1}, 1)
+        assert factorize(7 * (2**61 - 1), trial_limit=1000) == ({7: 1, 2**61 - 1: 1}, 1)
+        # a strong pseudoprime to the bases 2, 3, 5 and 7 (base 11 exposes it)
+        assert factorize(3215031751, trial_limit=2) == ({}, 3215031751)
+        # a Carmichael number 211 * 421 * 631: a**((n - 1) / 2) = 1 for every base
+        assert factorize(56052361, trial_limit=2) == ({}, 56052361)
+        # prime, but above the bound below which the 13 bases prove primality
+        assert factorize(2**89 - 1, trial_limit=1000) == ({}, 2**89 - 1)
+        assert factorize(41, trial_limit=2) == ({41: 1}, 1)
+
     def test_roundtrip_random(self):
         # trial division to 10**6 proves every m <= 10**12 completely factored
         rng = random.Random(5)

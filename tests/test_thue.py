@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from torsionforms import (
     FAMILIES,
     FAMILY_ORDERS,
     FamilyDataError,
+    Point,
     SideConditionError,
     Witness,
     brute_force_witness_search,
@@ -29,7 +31,7 @@ from torsionforms import (
     torsion_points,
     twist_scale,
 )
-from torsionforms import thue
+from torsionforms import curves, thue
 
 BRANCH_NECESSITY_CURVES = [
     (-43, 166, 7, F(1, 3)),
@@ -240,18 +242,92 @@ class TestPositivePath:
         fam = FAMILIES[7]
         Y = fam.point_y
         monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(fam, point_y=(2 * Y[0],) + Y[1:]))
-        with pytest.raises(FamilyDataError):
+        with pytest.raises(FamilyDataError, match="is off the n = 7 curve"):
             detect(Curve(-43, 166), 7)
 
     def test_points_off_the_six_twist_rejected(self, monkeypatch):
-        # points moved onto the 2-twist of the witness curve are exact
+        # points moved onto the 2-twist of the witness's 6-twist are exact
         # order-7 points of another curve: only the map onto c's 6-twist
         # in _validate_trace can reject them
-        real = thue.order_n_points
-        monkeypatch.setattr(thue, "order_n_points",
-                            lambda w: [twist_point(P, 2) for P in real(w)])
+        real = thue._six_twist_points
+
+        def on_the_two_twist(w):
+            F_val, G_val, points = real(w)
+            assert all(64 * y * y == (4 * x) ** 3 + 16 * F_val * 4 * x + 64 * G_val
+                       for x, y in points)
+            return F_val, G_val, [(4 * x, 8 * y) for x, y in points]
+
+        monkeypatch.setattr(thue, "_six_twist_points", on_the_two_twist)
         with pytest.raises(FamilyDataError):
             detect(Curve(-43, 166), 7)
+
+    def test_wrong_order_points_rejected(self, monkeypatch):
+        # the n = 5 tables under the label 7: every point is on the curve,
+        # but of order 5
+        monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(FAMILIES[5], n=7))
+        with pytest.raises(FamilyDataError, match="has order 5, expected 7"):
+            order_n_points(Witness(7, 2, 1, F(1)))
+
+    def test_no_rational_group_law(self, monkeypatch):
+        cases = []
+        for n, p, q, k in [(5, 2, 1, F(1)), (7, 2, 1, F(1, 3)), (7, 3, 1, F(1)),
+                           (8, 2, 1, F(1, 2)), (8, 3, 1, F(1)), (9, 2, 1, F(1)),
+                           (9, 3, 2, F(1, 3))]:
+            c = _integral_curve(Witness(n, p, q, k))
+            cases += [(twist_scale(c, u), n) for u in (1, 2, 3, 7)]
+
+        def forbidden(*args):
+            raise AssertionError("detect used the rational group law")
+
+        for module, name in [(curves, "on_curve"), (curves, "_add_unchecked"),
+                             (thue, "twist_point")]:
+            monkeypatch.setattr(module, name, forbidden)
+        for c, n in cases:
+            assert detect(c, n) is not None, (c, n)
+
+
+def fraction_order_n_points(w: Witness) -> list:
+    """Reference: the printed points built and checked on the witness curve
+    in Fraction, then their orders on an integral twist of it."""
+    fam = w.family
+    A, B = eval_AB(w)
+    if disc_AB(A, B) == 0:
+        raise DegenerateParameterError("singular")
+    points = []
+    for Xf, Yf in zip(fam.point_x, fam.point_y):
+        x = 3 * w.k**2 * Xf(w.p, w.q)
+        y = 108 * w.k**3 * Yf(w.p, w.q)
+        for P in (Point(x, y), Point(x, -y)):
+            if P.y * P.y != P.x**3 + A * P.x + B:
+                raise FamilyDataError("off the curve")
+            points.append(P)
+    den = math.lcm(A.denominator, B.denominator)
+    c = Curve(int(A * den**4), int(B * den**6))
+    for P in points:
+        if point_order(c, twist_point(P, den)) != w.n:
+            raise FamilyDataError("wrong order")
+    return points
+
+
+BRANCHES = [(n, k) for n in FAMILY_ORDERS for k in FAMILIES[n].kset]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(branch=st.sampled_from(BRANCHES), p=st.integers(-8, 8), q=st.integers(-8, 8))
+def test_order_n_points_matches_fraction_reference(branch, p, q):
+    n, k = branch
+    try:
+        w = Witness(n, p, q, k)
+    except SideConditionError:
+        reject()
+    try:
+        expected = fraction_order_n_points(w)
+    except DegenerateParameterError:
+        with pytest.raises(DegenerateParameterError):
+            order_n_points(w)
+        return
+    assert order_n_points(w) == expected
 
 
 class TestBruteForce:

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,17 @@ class TestTorsionPoints:
         # past the interpreter's 4300-digit int-to-str limit
         with pytest.raises(OracleUnavailableError):
             torsion_points(Curve(0, 1000003**400), trial_limit=1000)
+
+
+    @pytest.mark.parametrize("A, B", [(9116, -2843), (9203, 27), (7054, 403), (-8464, -4043)])
+    def test_prime_cofactor_past_trial_division(self, A, B):
+        # |disc| ~ 10**13 keeps a prime factor above (10**6 + 1)**2
+        c = Curve(A, B)
+        primes, cofactor = factorize(c.disc)
+        assert cofactor == 1
+        big = max(primes)
+        assert big > (10**6 + 1) ** 2 and sympy.isprime(big)
+        assert torsion_points(c) == unsieved_torsion_points(c)
 
 
 class TestTorsionStructure:
