@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for rational elliptic-curve torsion of order
 n in {5, 7, 8, 9}: curve generation from homogeneous binary forms, torsion
 detection on arbitrary integral short Weierstrass curves, an independent
-Nagell-Lutz-style torsion oracle, Tate normal forms, the family discriminant
-table, and explicit solution-count bounds."""
+torsion oracle by division polynomials that never factors, Tate normal forms,
+the family discriminant table, and explicit solution-count bounds."""
 
 from .bounds import (
     CountBound,
@@ -33,7 +33,6 @@ from .errors import (
     FamilyDataError,
     IncompleteFactorizationError,
     OffCurveError,
-    OracleUnavailableError,
     SideConditionError,
     SingularCurveError,
 )
@@ -81,9 +80,9 @@ __all__ = [
     "CountBound", "Curve", "CurveRecord", "DISC_TABLE", "DegenerateParameterError",
     "DetectionTrace", "DiscFormula", "FAMILIES", "FAMILY_ORDERS", "FamilyDataError",
     "HomForm", "INFINITY", "IncompleteFactorizationError", "Infinity", "IntPoly",
-    "LongWeierstrass", "MAZUR_LABELS", "OffCurveError", "OracleUnavailableError",
-    "PROVENANCE", "Point", "SideConditionError", "SingularCurveError", "TATE_ORDERS",
-    "ThueFamily", "TorsionReport", "Witness", "add", "brute_force_witness_search",
+    "LongWeierstrass", "MAZUR_LABELS", "OffCurveError", "PROVENANCE", "Point",
+    "SideConditionError", "SingularCurveError", "TATE_ORDERS", "ThueFamily",
+    "TorsionReport", "Witness", "add", "brute_force_witness_search",
     "detect", "disc_AB", "disc_poly", "eval_AB", "eval_FG", "evertse_bound",
     "factorize", "fg_forms", "generate_curve", "has_point_of_order",
     "interpolated_pipeline_poly", "long_to_short", "mazur_count_bound", "neg",

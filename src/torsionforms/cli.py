@@ -17,12 +17,12 @@ from .curves import Curve
 from .errors import (
     DegenerateParameterError,
     IncompleteFactorizationError,
-    OracleUnavailableError,
     SideConditionError,
     SingularCurveError,
 )
-from .exact import int_to_decimal
+from .exact import decimal_to_int, int_to_decimal
 from .families import FAMILIES, FAMILY_ORDERS
+from .records import _rational_to_decimal
 from .tate import interpolated_pipeline_poly
 from .thue import Witness, detect, generate_curve, param_cross_check
 from .torsion import has_point_of_order
@@ -57,22 +57,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="torsionforms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--trial-limit", type=int, default=10**6,
-                       help="trial-division limit for factorizations (default 1000000)")
-
     p = sub.add_parser("detect", help="find an order-n witness for an integral curve")
-    p.add_argument("A", type=int)
-    p.add_argument("B", type=int)
+    p.add_argument("A", type=decimal_to_int)
+    p.add_argument("B", type=decimal_to_int)
     p.add_argument("n", type=int, choices=FAMILY_ORDERS)
-    add_common(p)
 
     p = sub.add_parser("generate", help="emit the validated curve record of one witness")
     p.add_argument("n", type=int, choices=FAMILY_ORDERS)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--k", default="1", help="branch value: 1, 1/2 or 1/3 (default 1)")
-    add_common(p)
 
     p = sub.add_parser("scan", help="emit JSONL records over a (p, q, k) grid")
     p.add_argument("n", type=int, choices=FAMILY_ORDERS)
@@ -85,15 +79,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output path (default standard output)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv", action="store_true", help="flat summary instead of JSONL")
-    add_common(p)
 
     p = sub.add_parser("verify-identities", help="run the per-order identity suites")
     p.add_argument("n", type=int)
 
     p = sub.add_parser("bound", help="count bound M_n(t) from a discriminant")
     p.add_argument("n", type=int)
-    p.add_argument("delta", type=int)
-    add_common(p)
+    p.add_argument("delta", type=decimal_to_int)
+    p.add_argument("--trial-limit", type=int, default=10**6,
+                   help="trial-division limit for factorizations (default 1000000)")
 
     return parser
 
@@ -104,10 +98,10 @@ def _build_parser() -> _Parser:
 def cmd_detect(args) -> int:
     curve = Curve(args.A, args.B)
     trace = detect(curve, args.n)
-    oracle = has_point_of_order(curve, args.n, args.trial_limit)
+    oracle = has_point_of_order(curve, args.n)
     report = {
-        "A": str(args.A),
-        "B": str(args.B),
+        "A": int_to_decimal(args.A),
+        "B": int_to_decimal(args.B),
         "n": str(args.n),
         "present": trace is not None,
         "oracle_present": oracle,
@@ -117,14 +111,15 @@ def cmd_detect(args) -> int:
         report["message"] = f"no point of order {args.n}"
     else:
         report["message"] = "witness found"
-        report["alpha"] = str(trace.alpha)
-        report["u"] = str(trace.u)
-        report["u2"] = str(trace.u2)
-        report["scale"] = str(trace.scale)
+        report["alpha"] = _rational_to_decimal(trace.alpha)
+        report["u"] = _rational_to_decimal(trace.u)
+        report["u2"] = int_to_decimal(trace.u2)
+        report["scale"] = int_to_decimal(trace.scale)
         report["discrepancy"] = trace.discrepancy
         if trace.witness is not None:
             w = trace.witness
-            report["witness"] = {"p": str(w.p), "q": str(w.q), "k": str(w.k)}
+            report["witness"] = {"p": int_to_decimal(w.p), "q": int_to_decimal(w.q),
+                                 "k": str(w.k)}
     print(json.dumps(report, sort_keys=True))
     if not report["agree"]:
         print("error: witness search and torsion oracle disagree", file=sys.stderr)
@@ -136,31 +131,31 @@ def cmd_detect(args) -> int:
 
 def cmd_generate(args) -> int:
     w = Witness(args.n, args.p, args.q, Fraction(args.k))
-    record = generate_curve(w, args.trial_limit)
+    record = generate_curve(w)
     print(record.to_json_line())
     return EXIT_OK
 
 
 def _scan_cell(cell) -> tuple[str, str]:
-    n, p, q, k_str, trial_limit, csv = cell
+    n, p, q, k_str, csv = cell
     try:
         w = Witness(n, p, q, Fraction(k_str))
     except SideConditionError:
         return "skip_side", ""
     try:
-        record = generate_curve(w, trial_limit)
+        record = generate_curve(w)
     except DegenerateParameterError:
         return "skip_degenerate", ""
     return "record", record.to_csv_row() if csv else record.to_json_line()
 
 
 def cmd_scan(args) -> int:
-    if args.trial_limit < 2 or args.search_bound < 1 or args.workers < 1:
+    if args.search_bound < 1 or args.workers < 1:
         raise UsageError("bounds and worker counts must be positive")
     bound = args.search_bound
     branches = _branches(args.n, args.k)
     cells = [
-        (args.n, p, q, str(k), args.trial_limit, args.csv)
+        (args.n, p, q, str(k), args.csv)
         for p in range(-bound if args.pmin is None else args.pmin,
                        (bound if args.pmax is None else args.pmax) + 1)
         for q in range(-bound if args.qmin is None else args.qmin,
@@ -278,7 +273,6 @@ def main(argv=None) -> int:
         SingularCurveError,
         SideConditionError,
         DegenerateParameterError,
-        OracleUnavailableError,
         IncompleteFactorizationError,
         ValueError,
     ) as exc:

@@ -18,11 +18,6 @@ class DegenerateParameterError(ValueError):
     (zero denominator, or a singular generated curve)."""
 
 
-class OracleUnavailableError(RuntimeError):
-    """Raised when the torsion oracle cannot certify an answer, typically
-    because the discriminant did not factor within the configured trial limit."""
-
-
 class IncompleteFactorizationError(ValueError):
     """Raised when a computation requires a complete factorization but trial
     division left a nontrivial cofactor."""

@@ -144,7 +144,7 @@ def _witness_point(x6: int, y6: int) -> Point:
     return Point(Fraction(x6, 36), Fraction(y6, 216))
 
 
-def generate_curve(w: Witness, trial_limit: int = 10**6) -> CurveRecord:
+def generate_curve(w: Witness) -> CurveRecord:
     """Validated record for the witness curve.
 
     Uses the direct (A, B) model when it is integral, otherwise the 6-twist
@@ -161,7 +161,7 @@ def generate_curve(w: Witness, trial_limit: int = 10**6) -> CurveRecord:
         curve = Curve(F, G)
         points = [twist_point(P, 6) for P in points]
         form = "fg6"
-    report = torsion_structure(curve, trial_limit)
+    report = torsion_structure(curve)
     if report.exponent % w.n:
         raise FamilyDataError(
             f"oracle torsion {report.group_label} on {curve!r} has no order-{w.n} point"

@@ -1,20 +1,23 @@
-"""Brute-force rational torsion oracle.
+"""Rational torsion oracle by division polynomials; it never factors.
 
-Torsion points on an integral short Weierstrass curve have integer coordinates
-with y = 0 or y**2 dividing the discriminant; candidates are enumerated from
-the square divisors of the discriminant, kept when their order is at most 12,
-and classified into the fifteen possible rational torsion groups.  A divisor y
-is solved for x only when y passes a residue sieve modulo small primes.
+The torsion of an integral model injects into E(F_p) at each odd prime p of
+good reduction (Silverman, AEC VII.3.1), so its order divides the gcd N of a
+few such #E(F_p).  Past the 2-torsion, the torsion points have integral x
+(Nagell-Lutz) that are roots of the division polynomial g_N (Washington,
+Elliptic Curves, 3.2); they are lifted p-adically from the roots of g_N mod
+p and kept when they give points of order at most 12.  The points are
+classified into the fifteen possible rational torsion groups.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import INFINITY, Curve, Point, PointLike, point_order
-from .errors import FamilyDataError, OracleUnavailableError
-from .exact import divisors, factorize, int_to_decimal, integer_roots_monic_cubic
+from .curves import INFINITY, Curve, Point, _integral_order, point_order
+from .errors import FamilyDataError
+from .exact import _primes_from, integer_roots_monic_cubic
 
 MAZUR_ORDER_CAP = 12
 
@@ -22,8 +25,8 @@ MAZUR_ORDER_CAP = 12
 # so that a long run's memory stays bounded
 CACHE_SIZE = 4096
 
-# moduli of the residue sieve on Nagell-Lutz y-candidates
-SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+# odd primes of good reduction whose point counts bound the torsion order
+COUNT_PRIMES = 8
 
 MAZUR_LABELS = frozenset(
     [f"Z/{n}Z" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
@@ -44,59 +47,86 @@ class TorsionReport:
         return len(self.points)
 
 
-def _residue_sieve(A: int, B: int) -> list[tuple[int, frozenset]]:
-    """For each sieve prime q, the residues r with r**2 = x**3 + A*x + B mod q
-    for some x; an integral point's y lies in every one.  Primes whose set
-    holds every residue sieve nothing and are dropped."""
-    tables = []
-    for q in SIEVE_PRIMES:
-        values = {(x * x * x + A * x + B) % q for x in range(q)}
-        residues = frozenset(r for r in range(q) if r * r % q in values)
-        if len(residues) < q:
-            tables.append((q, residues))
-    return tables
+def _count_points(A: int, B: int, p: int) -> int:
+    """#E(F_p) for y**2 = x**3 + A*x + B at an odd prime p of good reduction:
+    the point at infinity plus, for each x, the number of square roots of the
+    right-hand side."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    a, b = A % p, B % p
+    return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
+
+
+def _division_value(N: int, x: int, A: int, B: int, m: int) -> int:
+    """g_N(x) mod m, where g_N is the division polynomial psi_N for odd N and
+    psi_N / psi_2 for even N, by the doubling recurrence on values (N >= 1)."""
+    F = 16 * (x**3 + A * x + B) ** 2 % m
+    g = [0, 1, 1, (3 * x**4 + 6 * A * x * x + 12 * B * x - A * A) % m,
+         2 * (x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A * A * x * x
+              - 4 * A * B * x - 8 * B * B - A**3) % m]
+    for k in range(5, N + 1):
+        h = k // 2
+        if k % 2 == 0:
+            v = g[h] * (g[h + 2] * g[h - 1] ** 2 - g[h - 2] * g[h + 1] ** 2)
+        elif h % 2 == 0:
+            v = F * g[h + 2] * g[h] ** 3 - g[h - 1] * g[h + 1] ** 3
+        else:
+            v = g[h + 2] * g[h] ** 3 - F * g[h - 1] * g[h + 1] ** 3
+        g.append(v % m)
+    return g[N]
+
+
+def _division_roots(N: int, A: int, B: int, disc: int) -> list[int]:
+    """Every integer x with |x| < 1 + |A| + |B| + |disc| and g_N(x) = 0, and
+    other integers besides: each root of g_N mod the first odd prime p not
+    dividing N * disc, a simple root there, is Newton-lifted until the
+    modulus exceeds twice that bound, and its symmetric residue is returned."""
+    p = next(q for q in _primes_from(3) if N * disc % q)
+    bound = 2 * (1 + abs(A) + abs(B) + abs(disc))
+    lifts = []
+    for x in range(p):
+        if _division_value(N, x, A, B, p):
+            continue
+        m = p
+        while m <= bound:
+            # g(x + m) - g(x) = m g'(x) mod m**2, and g'(x) is a unit mod m
+            mm = m * m
+            gx = _division_value(N, x, A, B, mm)
+            dg = (_division_value(N, x + m, A, B, mm) - gx) % mm // m
+            x = (x - gx * pow(dg, -1, m)) % mm
+            m = mm
+        lifts.append(x - m if x > m // 2 else x)
+    return lifts
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def torsion_points(c: Curve, trial_limit: int = 10**6) -> frozenset:
-    """Exactly the rational torsion points of ``c`` (the identity included).
-
-    Raises :class:`OracleUnavailableError` when the discriminant does not
-    factor completely within ``trial_limit``; never returns a wrong answer.
-    """
-    primes, cofactor = factorize(c.disc, trial_limit)
-    if cofactor != 1:
-        raise OracleUnavailableError(
-            f"|disc| = {int_to_decimal(abs(c.disc))} left unfactored cofactor "
-            f"{int_to_decimal(cofactor)} "
-            f"at trial limit {trial_limit}"
-        )
-    # y**2 | disc  <=>  y divides the "square root part" of |disc|
-    root_part = {p: e // 2 for p, e in primes.items() if e >= 2}
-
-    candidates: set[tuple[int, int]] = set()
-    for x in integer_roots_monic_cubic(c.A, c.B):
-        candidates.add((x, 0))
-    sieve = _residue_sieve(c.A, c.B)
-    for y in divisors(root_part):
-        if not all(y % q in residues for q, residues in sieve):
-            continue
-        for x in integer_roots_monic_cubic(c.A, c.B - y * y):
-            candidates.add((x, y))
-            candidates.add((x, -y))
-
-    points: set[PointLike] = {INFINITY}
-    for x, y in candidates:
-        P = Point(x, y)
-        if point_order(c, P, cap=MAZUR_ORDER_CAP) is not None:
-            points.add(P)
+def torsion_points(c: Curve) -> frozenset:
+    """Exactly the rational torsion points of ``c`` (the identity included)."""
+    A, B, disc = c.A, c.B, c.disc
+    N, primes = 0, _primes_from(3)
+    for _ in range(COUNT_PRIMES):
+        p = next(q for q in primes if disc % q)
+        N = math.gcd(N, _count_points(A, B, p))
+        if N == 1:
+            break
+    points = {INFINITY}
+    if N % 2 == 0:
+        points |= {Point(x, 0) for x in integer_roots_monic_cubic(A, B)}
+    if N > 2:
+        # Nagell-Lutz: y**2 | 4A**3 + 27B**2, so |x| < 1 + |A| + |B| + |disc|
+        for x in _division_roots(N, A, B, disc):
+            rhs = x**3 + A * x + B
+            y = math.isqrt(rhs) if rhs > 0 else 0
+            if y and y * y == rhs and _integral_order(A, x, y, MAZUR_ORDER_CAP) is not None:
+                points |= {Point(x, y), Point(x, -y)}
     return frozenset(points)
 
 
-def torsion_structure(c: Curve, trial_limit: int = 10**6) -> TorsionReport:
+def torsion_structure(c: Curve) -> TorsionReport:
     """Torsion group structure: cyclic Z/NZ, or Z/2Z x Z/(N/2)Z when the full
     two-torsion is rational."""
-    pts = torsion_points(c, trial_limit)
+    pts = torsion_points(c)
     n = len(pts)
     two_torsion = sum(1 for P in pts if P is INFINITY or P.y == 0)
     if two_torsion == 4:
@@ -110,13 +140,13 @@ def torsion_structure(c: Curve, trial_limit: int = 10**6) -> TorsionReport:
     return TorsionReport(points=pts, group_label=label, exponent=exponent)
 
 
-def has_point_of_order(c: Curve, n: int, trial_limit: int = 10**6) -> bool:
+def has_point_of_order(c: Curve, n: int) -> bool:
     """True when some rational torsion point has exact order ``n`` (1 <= n <= 12)."""
     if not 1 <= n <= MAZUR_ORDER_CAP:
         raise ValueError("order must be between 1 and 12")
     if n == 1:
         return True
-    for P in torsion_points(c, trial_limit):
+    for P in torsion_points(c):
         if P is not INFINITY and point_order(c, P, cap=MAZUR_ORDER_CAP) == n:
             return True
     return False

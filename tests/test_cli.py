@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -41,6 +42,22 @@ class TestDetectCommand:
         assert r.returncode == 0, r.stderr
         report = json.loads(r.stdout)
         assert report["agree"] and not report["present"]
+
+    def test_integers_past_the_int_str_limit(self, capsys):
+        # 5001 digits, past the interpreter's 4300-digit int<->str limit
+        A = "7" * 5001
+        assert cli.main(["detect", "--", A, "3", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["agree"] and report["A"] == A
+
+    def test_oracle_answers_on_random_curves(self, capsys):
+        # most of these discriminants do not factor by trial division
+        rng = random.Random(30)
+        for i in range(30):
+            A, B = (rng.choice((-1, 1)) * rng.randrange(10**9, 10 ** rng.randint(10, 40))
+                    for _ in "AB")
+            assert cli.main(["detect", "--", str(A), str(B), str((5, 7, 8, 9)[i % 4])]) == 0
+            assert json.loads(capsys.readouterr().out)["agree"]
 
     def test_residual_scale_exits_with_discrepancy_code(self):
         # 2-twist of the order-7 curve: present, but no plain integral solution
@@ -147,6 +164,12 @@ class TestBoundCommand:
         assert sys.get_int_max_str_digits() == limit
         out = capsys.readouterr().out
         assert out == f"t = 3\nM_7(3) = {int_to_decimal(7**19440 + 6 * 7 ** (70 * 4))}\n"
+
+    def test_delta_past_the_int_str_limit(self, capsys):
+        delta = int_to_decimal(2**16610)
+        assert len(delta) == 5001
+        assert cli.main(["bound", "2", delta]) == 0
+        assert capsys.readouterr().out.startswith("t = 1\n")
 
     def test_zero_delta_error(self):
         r = run("bound", "5", "0")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from torsionforms import (
     DegenerateParameterError,
@@ -78,6 +80,13 @@ class TestTateAB:
                     continue
                 assert tate_AB(n, alpha) == fam.tate_value(alpha)
                 done += 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from((5, 7, 8, 9)), alpha=st.fractions())
+    def test_pipeline_matches_tables_at_random_alpha(self, n, alpha):
+        if n == 8 and alpha == 0:
+            reject()
+        assert tate_AB(n, alpha) == FAMILIES[n].tate_value(alpha)
 
     def test_pipeline_matches_tables_coefficientwise(self):
         for n in (5, 7, 8, 9):

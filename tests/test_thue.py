@@ -15,6 +15,7 @@ from torsionforms import (
     FamilyDataError,
     Point,
     SideConditionError,
+    SingularCurveError,
     Witness,
     brute_force_witness_search,
     detect,
@@ -410,3 +411,35 @@ class TestOracleDetectBruteForceAgreement:
         for c in corpus:
             for n in (5, 7, 8, 9):
                 assert (detect(c, n) is not None) == has_point_of_order(c, n)
+
+    SETTINGS = dict(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+    @staticmethod
+    def assert_agree(c: Curve):
+        for n in FAMILY_ORDERS:
+            assert (detect(c, n) is not None) == has_point_of_order(c, n), (c, n)
+
+    @settings(max_examples=100, **SETTINGS)
+    @given(digits=st.tuples(st.integers(5, 200), st.integers(5, 200)), data=st.data())
+    def test_random_curves(self, digits, data):
+        A, B = (data.draw(st.integers(10 ** (d - 1), 10**d - 1)) * data.draw(st.sampled_from((-1, 1)))
+                for d in digits)
+        try:
+            c = Curve(A, B)
+        except SingularCurveError:
+            reject()
+        self.assert_agree(c)
+
+    @settings(max_examples=100, **SETTINGS)
+    @given(n=st.sampled_from(FAMILY_ORDERS), p=st.integers(-6, 6), q=st.integers(-6, 6),
+           branch=st.integers(0, 2), u=st.integers(1, 10**40))
+    def test_twists_of_generated_curves(self, n, p, q, branch, u):
+        kset = FAMILIES[n].kset
+        try:
+            rec = generate_curve(Witness(n, p, q, kset[branch % len(kset)]))
+        except (SideConditionError, DegenerateParameterError):
+            reject()
+        c = twist_scale(rec.curve, u)
+        assert has_point_of_order(c, n)
+        self.assert_agree(c)

@@ -12,7 +12,6 @@ from torsionforms import (
     DegenerateParameterError,
     INFINITY,
     MAZUR_LABELS,
-    OracleUnavailableError,
     Point,
     SideConditionError,
     SingularCurveError,
@@ -27,23 +26,19 @@ from torsionforms import (
     torsion_structure,
     twist_scale,
 )
-from torsionforms import torsion
+from torsionforms import exact, torsion
 from torsionforms.exact import divisors, factorize, integer_roots_monic_cubic
 
 
-def square_divisors(c: Curve) -> list[int]:
-    """The y > 0 with y**2 dividing the discriminant."""
+def unsieved_torsion_points(c: Curve):
+    """Reference oracle by Nagell-Lutz: every y = 0 or y > 0 with y**2
+    dividing the discriminant is solved for x.  None when trial division
+    does not factor the discriminant."""
     primes, cofactor = factorize(c.disc)
     if cofactor != 1:
-        raise OracleUnavailableError(f"cofactor {cofactor}")
-    return divisors({p: e // 2 for p, e in primes.items() if e >= 2})
-
-
-def unsieved_torsion_points(c: Curve) -> frozenset:
-    """The oracle without its residue sieve: every square divisor y of the
-    discriminant is solved for x."""
+        return None
     points = {INFINITY}
-    for y in [0] + square_divisors(c):
+    for y in [0] + divisors({p: e // 2 for p, e in primes.items() if e >= 2}):
         for x in integer_roots_monic_cubic(c.A, c.B - y * y):
             for P in {Point(x, y), Point(x, -y)}:
                 if point_order(c, P, cap=12) is not None:
@@ -84,13 +79,25 @@ class TestTorsionPoints:
                 for Q in pts:
                     assert add(c, P, Q) in pts
 
-    def test_unfactorable_discriminant_raises(self):
-        # disc = -432 * 1000003^2; the square prime factor exceeds the limit
-        with pytest.raises(OracleUnavailableError):
-            torsion_points(Curve(0, 1000003), trial_limit=10**4)
+    def test_answers_without_factoring(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the torsion oracle factored")
+
+        for owner in (exact, torsion):
+            monkeypatch.setattr(owner, "factorize", refuse, raising=False)
+            monkeypatch.setattr(owner, "divisors", refuse, raising=False)
+        torsion_points.cache_clear()
+        # 30000+ square divisors of the discriminant
+        assert generate_curve(Witness(9, 17, -11, F(1))).group_label == "Z/9Z"
+        assert generate_curve(Witness(8, 3, -2, F(1, 2))).group_label == "Z/8Z"
+        # disc = -432 * 1000003**2
+        assert torsion_points(Curve(0, 1000003)) == frozenset({INFINITY})
         # past the interpreter's 4300-digit int-to-str limit
-        with pytest.raises(OracleUnavailableError):
-            torsion_points(Curve(0, 1000003**400), trial_limit=1000)
+        y = 1000003**200
+        assert torsion_points(Curve(0, y * y)) == frozenset(
+            {INFINITY, Point(0, y), Point(0, -y)})
+        # |disc| keeps the cofactor 1659877 * 2123237 after trial division
+        assert torsion_points(Curve(-9587, 3187)) == frozenset({INFINITY})
 
 
     @pytest.mark.parametrize("A, B", [(9116, -2843), (9203, 27), (7054, 403), (-8464, -4043)])
@@ -155,18 +162,16 @@ class TestHasPointOfOrder:
 
 
 class TestResidueSieve:
-    """The sieve only skips candidates that cannot be y-coordinates."""
+    """The oracle equals the reference enumerator of square divisors wherever
+    trial division factors the discriminant."""
 
     SETTINGS = dict(deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
     def assert_matches_unsieved(self, c: Curve):
-        try:
-            expected = unsieved_torsion_points(c)
-        except OracleUnavailableError:
-            with pytest.raises(OracleUnavailableError):
-                torsion_points(c)
-            return
+        expected = unsieved_torsion_points(c)
+        if expected is None:
+            reject()
         assert torsion_points(c) == expected
 
     @settings(max_examples=200, **SETTINGS)
@@ -189,18 +194,3 @@ class TestResidueSieve:
         except (SideConditionError, DegenerateParameterError):
             reject()
         self.assert_matches_unsieved(rec.curve)
-
-    def test_prunes_cubic_solves(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return integer_roots_monic_cubic(a, b)
-
-        monkeypatch.setattr(torsion, "integer_roots_monic_cubic", counted)
-        torsion_points.cache_clear()
-        rec = generate_curve(Witness(9, 17, -11, F(1)))
-        assert rec.group_label == "Z/9Z"
-        squares = len(square_divisors(rec.curve))
-        assert squares > 30000
-        assert len(calls) <= squares // 100
