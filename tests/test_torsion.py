@@ -194,3 +194,22 @@ class TestResidueSieve:
         except (SideConditionError, DegenerateParameterError):
             reject()
         self.assert_matches_unsieved(rec.curve)
+
+    def test_prunes_cubic_solves(self, monkeypatch):
+        # the reference enumerator solves the cubic once per square divisor;
+        # the oracle solves it only for the 2-torsion
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return integer_roots_monic_cubic(a, b)
+
+        monkeypatch.setattr(torsion, "integer_roots_monic_cubic", counted)
+        torsion_points.cache_clear()
+        rec = generate_curve(Witness(9, 17, -11, F(1)))
+        assert rec.group_label == "Z/9Z"
+        primes, cofactor = factorize(rec.curve.disc)
+        assert cofactor == 1
+        squares = len(divisors({p: e // 2 for p, e in primes.items() if e >= 2}))
+        assert squares > 30000
+        assert len(calls) <= squares // 100
