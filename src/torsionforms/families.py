@@ -188,11 +188,19 @@ FAMILIES: dict[int, ThueFamily] = {
 FAMILY_ORDERS = tuple(sorted(FAMILIES))
 
 
+def family(n: int) -> ThueFamily:
+    """The order-n family; ValueError for an order without one."""
+    fam = FAMILIES.get(n)
+    if fam is None:
+        raise ValueError(f"no family for order n = {n}")
+    return fam
+
+
 def fg_forms(n: int, k: Fraction) -> tuple[int, int]:
     """Constants (cF, cG) with F = cF * U_n and G = cG * V_n for branch k;
     both (6k)**4 and (6k)**6 are integers on every branch, so F and G are
     integer forms."""
-    fam = FAMILIES[n]
+    fam = family(n)
     six_k = 6 * Fraction(k)
     cf = -27 * six_k**4
     cg = fam.b_sign * 54 * six_k**6

@@ -5,6 +5,7 @@ and the elimination-formula cross-checks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +23,8 @@ from .errors import (
     FamilyDataError,
     SideConditionError,
 )
-from .exact import rational_nth_root, rational_roots, rational_square_root
-from .families import FAMILIES, ThueFamily, fg_forms
+from .exact import integer_nth_root, rational_roots, rational_square_root
+from .families import FAMILIES, ThueFamily, family, fg_forms
 from .records import CurveRecord
 from .torsion import CACHE_SIZE, torsion_structure
 
@@ -40,9 +41,7 @@ class Witness:
 
     def __post_init__(self):
         object.__setattr__(self, "k", Fraction(self.k))
-        fam = FAMILIES.get(self.n)
-        if fam is None:
-            raise ValueError(f"no family for order n = {self.n}")
+        fam = family(self.n)
         if self.k not in fam.kset:
             raise SideConditionError(
                 f"k = {self.k} is not in the n = {self.n} branch set {fam.kset}"
@@ -87,10 +86,11 @@ def eval_AB(w: Witness) -> tuple[Fraction, Fraction]:
 
 
 def eval_FG(w: Witness) -> tuple[int, int]:
-    """The 6-scaled integral system values (6^4 A, 6^6 B); always integers."""
+    """The 6-scaled integral system values (6^4 A, 6^6 B); always integers,
+    as s = 6k is an integer on every branch (see ``fg_forms``)."""
     fam = w.family
-    cf, cg = fg_forms(w.n, w.k)
-    return cf * fam.U(w.p, w.q), cg * fam.V(w.p, w.q)
+    s = 6 * w.k.numerator // w.k.denominator
+    return -27 * s**4 * fam.U(w.p, w.q), fam.b_sign * 54 * s**6 * fam.V(w.p, w.q)
 
 
 def order_n_points(w: Witness) -> list[Point]:
@@ -118,7 +118,7 @@ def _six_twist_points(w: Witness) -> tuple[int, int, list[tuple[int, int]]]:
         raise DegenerateParameterError(
             f"witness (p, q) = ({w.p}, {w.q}) generates a singular curve"
         )
-    s = int(6 * w.k)
+    s = 6 * w.k.numerator // w.k.denominator
     cx, cy = 3 * s**2, 108 * s**3
     points = []
     for Xf, Yf in zip(fam.point_x, fam.point_y):
@@ -177,14 +177,20 @@ def generate_curve(w: Witness) -> CurveRecord:
 # detection
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _matching_roots(n: int, j: Fraction) -> tuple[Fraction, ...]:
+def _matching_roots(n: int, j: Fraction) -> tuple[tuple[Fraction, int, int, int, int], ...]:
     """Rational roots of the u-eliminated matching polynomial
 
-        M(alpha) = B^2 numA(alpha)^3 denB(alpha)^2 - A^3 numB(alpha)^2 denA(alpha)^3.
+        M(alpha) = B^2 numA(alpha)^3 denB(alpha)^2 - A^3 numB(alpha)^2 denA(alpha)^3,
+
+    with their Tate values.
 
     The root set depends on the curve only through j = a/b, so M is built as
     4 (1728 b - a) numA^3 - 27 a numB^2, which is 186624 M / t for the t with
     4 A^3 + 27 B^2 = t b, and cached per (n, j): all twists share an entry.
+    An entry holds (alpha, an, ad, bn, bd) with A_n(alpha) = an/ad and
+    B_n(alpha) = bn/bd in lowest terms for each root where both are finite
+    and nonzero (the others solve the system for no curve), so a hit
+    evaluates no Tate value.
     """
     fam = FAMILIES[n]
     a, b = j.numerator, j.denominator
@@ -195,9 +201,15 @@ def _matching_roots(n: int, j: Fraction) -> tuple[Fraction, ...]:
         raise FamilyDataError(
             "matching polynomial vanished identically for a nonsingular curve"
         )
-    return tuple(
-        sorted(rational_roots(M), key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
-    )
+    entry = []
+    roots = sorted(rational_roots(M), key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
+    for alpha in roots:
+        if fam.tate_A_denpow and alpha == 0:
+            continue
+        An, Bn = fam.tate_value(alpha)
+        if An and Bn:
+            entry.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator))
+    return tuple(entry)
 
 
 def _witness_from_alpha_u(
@@ -209,29 +221,30 @@ def _witness_from_alpha_u(
     k_raw = 1/(u q^j) (1/(u p q) for n = 8); if k_raw/k is the j-th power of a
     positive integer s for some branch k, the scale absorbs into (s p0, s q0)
     and the plain integral system is solvable.  Otherwise the residual integer
-    scale is kept and the trace is flagged.
+    scale is kept and the trace is flagged.  All of it runs in int.
     """
     fam = FAMILIES[n]
     p0 = fam.sigma * alpha.numerator
     q0 = alpha.denominator
     j = fam.scale_power
-    if n == 8:
-        k_raw = abs(Fraction(1) / (u * alpha.numerator * alpha.denominator))
-    else:
-        k_raw = abs(Fraction(1) / (u * q0**j))
+    # k_raw = m/b in lowest terms; u > 0
+    m = u.denominator
+    b = u.numerator * (abs(p0) * q0 if n == 8 else q0**j)
+    g = math.gcd(m, b)
+    m, b = m // g, b // g
     for k in fam.kset:
-        s = rational_nth_root(k_raw / k, j)
-        if s is not None and s.denominator == 1 and s >= 1:
-            si = int(s)
-            return Witness(n, si * p0, si * q0, k), 1, k.denominator, None
-    m, b = k_raw.numerator, k_raw.denominator
+        num, den = m * k.denominator, b * k.numerator
+        if num % den == 0:
+            s = integer_nth_root(num // den, j)
+            if s**j == num // den:
+                return Witness(n, s * p0, s * q0, k), 1, k.denominator, None
     if Fraction(1, b) in fam.kset:
         note = (
             f"no integral solution of the plain system; residual scale {m} "
             f"on the k = 1/{b} branch"
         )
         return Witness(n, p0, q0, Fraction(1, b)), m, b, note
-    return None, m, b, f"branch factor {k_raw} has denominator outside the branch set"
+    return None, m, b, f"branch factor {Fraction(m, b)} has denominator outside the branch set"
 
 
 def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
@@ -242,22 +255,21 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     traces with a set ``discrepancy`` still certify presence.  Curves with
     A*B = 0 need no special case: the matching polynomial becomes a multiple
     of numA**3 or numB**2, neither of which has a rational root.
+
+    The roots and their Tate values come from the (n, j) cache of
+    ``_matching_roots``; from them u, its re-check and the witness are
+    computed in int.
     """
     if n not in FAMILIES:
         raise ValueError(f"detection is defined for n in {sorted(FAMILIES)}, got {n}")
-    fam = FAMILIES[n]
     best: Optional[DetectionTrace] = None
-    for alpha in _matching_roots(n, c.j_invariant):
-        if fam.tate_A_denpow and alpha == 0:
-            continue
-        An, Bn = fam.tate_value(alpha)
-        if An == 0 or Bn == 0:
-            continue
-        u_sq = Fraction(c.A) * Bn / (Fraction(c.B) * An)
-        u = rational_square_root(u_sq)
+    for alpha, an, ad, bn, bd in _matching_roots(n, c.j_invariant):
+        u = rational_square_root(Fraction(c.A * bn * ad, c.B * bd * an))
         if u is None or u == 0:
             continue
-        if u**4 * c.A != An or u**6 * c.B != Bn:
+        # u**4 A = an/ad and u**6 B = bn/bd, with u = r/t
+        r, t = u.numerator, u.denominator
+        if r**4 * c.A * ad != an * t**4 or r**6 * c.B * bd != bn * t**6:
             raise FamilyDataError("matching root failed the exact system re-check")
         witness, scale, u2, note = _witness_from_alpha_u(n, alpha, u)
         if witness is not None:
@@ -296,7 +308,7 @@ def brute_force_witness_search(
 
     ``ks`` restricts the branch set (default: every branch of the family).
     """
-    fam = FAMILIES[n]
+    fam = family(n)
     branches = fam.kset if ks is None else tuple(Fraction(k) for k in ks)
     target_f = 1296 * c.A
     target_g = 46656 * c.B

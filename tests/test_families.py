@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from torsionforms import (
@@ -135,6 +135,20 @@ class TestEvalFG:
     def test_invalid_branch_rejected(self):
         with pytest.raises(ValueError):
             fg_forms(7, F(1, 5))
+
+    def test_order_without_family_rejected(self):
+        with pytest.raises(ValueError, match="no family for order n = 6"):
+            fg_forms(6, 1)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in FAMILIES for k in FAMILIES[n].kset])
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(p=st.integers(-10**6, 10**6), q=st.integers(-10**6, 10**6))
+    def test_matches_fg_forms(self, n, k, p, q):
+        fam = FAMILIES[n]
+        assume(fam.side_conditions_ok(p, q))
+        cf, cg = fg_forms(n, k)
+        assert eval_FG(Witness(n, p, q, k)) == (cf * fam.U(p, q), cg * fam.V(p, q))
 
 
 class TestSideConditions:

@@ -32,7 +32,8 @@ from torsionforms import (
     torsion_points,
     twist_scale,
 )
-from torsionforms import curves, thue
+from torsionforms import curves, families, thue
+from torsionforms.exact import rational_nth_root, rational_roots, rational_square_root
 
 BRANCH_NECESSITY_CURVES = [
     (-43, 166, 7, F(1, 3)),
@@ -202,6 +203,26 @@ class TestDetect:
                 for n in (5, 7, 8, 9):
                     assert (detect(cu, n) is not None) == base[n]
 
+    def test_cache_hit_evaluates_no_tate_value(self, monkeypatch):
+        thue._matching_roots.cache_clear()
+        c = Curve(-43, 166)
+        alpha = detect(c, 7).alpha
+
+        def forbidden(*args):
+            raise AssertionError("a root-cache hit evaluated Tate values or fg_forms")
+
+        monkeypatch.setattr(families.ThueFamily, "tate_value", forbidden)
+        monkeypatch.setattr(families, "fg_forms", forbidden)
+        monkeypatch.setattr(thue, "fg_forms", forbidden)
+        traces = {u: detect(twist_scale(c, u), 7) for u in (2, 3, 7)}
+        assert all(trace.alpha == alpha for trace in traces.values())
+        for u in (2, 7):
+            assert traces[u].discrepancy.startswith("no integral solution of the plain system")
+            assert traces[u].scale == u
+        w = traces[3].witness
+        assert (w.n, w.p, w.q, w.k) == (7, 2, 1, 1)
+        assert traces[3].discrepancy is None
+
     def test_residual_scale_flagged_on_quartic_twist(self):
         # the 2-twist keeps the order-7 point but the plain integral system
         # loses solvability; the trace carries the residual scale
@@ -331,7 +352,91 @@ def test_order_n_points_matches_fraction_reference(branch, p, q):
     assert order_n_points(w) == expected
 
 
+def fraction_witness_from_alpha_u(n: int, alpha: F, u: F):
+    """Reference: the witness conversion of ``thue._witness_from_alpha_u``,
+    in Fraction."""
+    fam = FAMILIES[n]
+    p0 = fam.sigma * alpha.numerator
+    q0 = alpha.denominator
+    j = fam.scale_power
+    if n == 8:
+        k_raw = abs(F(1) / (u * alpha.numerator * alpha.denominator))
+    else:
+        k_raw = abs(F(1) / (u * q0**j))
+    for k in fam.kset:
+        s = rational_nth_root(k_raw / k, j)
+        if s is not None and s.denominator == 1 and s >= 1:
+            si = int(s)
+            return Witness(n, si * p0, si * q0, k), 1, k.denominator, None
+    m, b = k_raw.numerator, k_raw.denominator
+    if F(1, b) in fam.kset:
+        note = (
+            f"no integral solution of the plain system; residual scale {m} "
+            f"on the k = 1/{b} branch"
+        )
+        return Witness(n, p0, q0, F(1, b)), m, b, note
+    return None, m, b, f"branch factor {k_raw} has denominator outside the branch set"
+
+
+def fraction_detect(c: Curve, n: int):
+    """Reference: ``detect`` with the Tate values, u and the witness in
+    Fraction, on an uncached root search."""
+    fam = FAMILIES[n]
+    a, b = c.j_invariant.numerator, c.j_invariant.denominator
+    M = 4 * (1728 * b - a) * fam.tate_A_num**3 - 27 * a * fam.tate_B_num**2
+    best = None
+    for alpha in sorted(rational_roots(M),
+                        key=lambda r: (r <= 0, r.denominator, abs(r.numerator))):
+        if fam.tate_A_denpow and alpha == 0:
+            continue
+        An, Bn = fam.tate_value(alpha)
+        if An == 0 or Bn == 0:
+            continue
+        u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
+        if u is None or u == 0:
+            continue
+        assert u**4 * c.A == An and u**6 * c.B == Bn
+        witness, scale, u2, note = fraction_witness_from_alpha_u(n, alpha, u)
+        if witness is not None:
+            thue._validate_trace(c, witness, scale)
+        trace = thue.DetectionTrace(
+            alpha=alpha, u=u, u2=u2, witness=witness, scale=scale, discrepancy=note
+        )
+        if note is None:
+            return trace
+        if best is None:
+            best = trace
+    return best
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(branch=st.sampled_from(BRANCHES), p=st.integers(-8, 8), q=st.integers(-8, 8),
+       a=st.integers(1, 12), data=st.data())
+def test_detect_matches_fraction_reference(branch, p, q, a, data):
+    """detect's integer positive path against the Fraction reference, on
+    planted curves twisted by a/b wherever the twist is integral (which
+    includes scales that the witness cannot absorb)."""
+    n, k = branch
+    try:
+        w = Witness(n, p, q, k)
+    except SideConditionError:
+        reject()
+    if disc_AB(*eval_AB(w)) == 0:
+        reject()
+    c = _integral_curve(w)
+    dens = [b for b in range(1, 13) if (c.A * a**4) % b**4 == 0 and (c.B * a**6) % b**6 == 0]
+    c = twist_scale(c, F(a, data.draw(st.sampled_from(dens), label="b")))
+    expected = fraction_detect(c, n)
+    assert expected is not None
+    assert detect(c, n) == expected
+
+
 class TestBruteForce:
+    def test_order_without_family_rejected(self):
+        with pytest.raises(ValueError, match="no family for order n = 6"):
+            brute_force_witness_search(Curve(-43, 166), 6, 3)
+
     def test_order5_anchor(self):
         hits = brute_force_witness_search(Curve(-432, 8208), 5, 10)
         assert hits
