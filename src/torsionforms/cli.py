@@ -14,12 +14,7 @@ from fractions import Fraction
 
 from .bounds import mazur_count_bound, prime_factor_count
 from .curves import Curve
-from .errors import (
-    DegenerateParameterError,
-    IncompleteFactorizationError,
-    SideConditionError,
-    SingularCurveError,
-)
+from .errors import DegenerateParameterError, SideConditionError
 from .exact import decimal_to_int, int_to_decimal
 from .families import FAMILIES, FAMILY_ORDERS
 from .records import _rational_to_decimal
@@ -130,7 +125,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    w = Witness(args.n, args.p, args.q, Fraction(args.k))
+    try:
+        k = Fraction(args.k)
+    except ZeroDivisionError:
+        raise ValueError(f"k = {args.k} has a zero denominator") from None
+    w = Witness(args.n, args.p, args.q, k)
     record = generate_curve(w)
     print(record.to_json_line())
     return EXIT_OK
@@ -269,13 +268,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (
-        SingularCurveError,
-        SideConditionError,
-        DegenerateParameterError,
-        IncompleteFactorizationError,
-        ValueError,
-    ) as exc:
+    # every typed error of errors.py but FamilyDataError (a data bug) is a
+    # ValueError; OSError covers an --out path that cannot be opened
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Optional
 
 Rational = Fraction
@@ -357,6 +358,21 @@ def _eval_mod(coeffs: tuple[int, ...], x: int, m: int) -> int:
     return acc
 
 
+def _hensel_lift(f, x: int, m: int, bound: int) -> tuple[int, int]:
+    """Newton-lift a root x of f mod m, simple mod the prime under m, to
+    (x, M) with f(x) = 0 mod M, where M = m, m**2, m**4, ... is the first
+    such modulus above ``bound``.  ``f(x, M)`` is an integer polynomial's
+    value mod M.  As f(x + m) - f(x) = m f'(x) mod m**2, the derivative mod m
+    is read off two values, and mod m it is all the step needs."""
+    while m <= bound:
+        mm = m * m
+        fx = f(x, mm)
+        df = (f(x + m, mm) - fx) % mm // m
+        x = (x - fx * pow(df, -1, m)) % mm
+        m = mm
+    return x, m
+
+
 def _derivative(f: IntPoly) -> IntPoly:
     return IntPoly(i * c for i, c in enumerate(f.coeffs) if i)
 
@@ -389,11 +405,11 @@ def rational_roots(poly: IntPoly) -> set[Fraction]:
     The content and the power of x are stripped.  At the first prime p >= 5
     that does not divide the leading coefficient and at which every root of
     f mod p is simple, each such root is Newton-lifted mod p, p**2, p**4, ...
-    past twice the bound |lead| + max|c_i| on lead * r for a rational root r.
-    The symmetric residue of lead * (lift) over lead is the only rational
-    root in that class mod p; it is kept only when exact evaluation gives 0.
-    The squarefree part is taken only after a few primes have failed, after
-    which almost every prime succeeds.
+    (``_hensel_lift``) past twice the bound |lead| + max|c_i| on lead * r
+    for a rational root r.  The symmetric residue of lead * (lift) over lead
+    is the only rational root in that class mod p; it is kept only when exact
+    evaluation gives 0.  The squarefree part is taken only after a few primes
+    have failed, after which almost every prime succeeds.
     """
     if poly.is_zero():
         raise ValueError("root set of the zero polynomial is undefined")
@@ -416,11 +432,9 @@ def rational_roots(poly: IntPoly) -> set[Fraction]:
                 df = _derivative(f)
             continue
         bound = 2 * (abs(lead) + max(abs(c) for c in f.coeffs))
+        value = partial(_eval_mod, f.coeffs)
         for x in residues:
-            m = p
-            while m <= bound:
-                m *= m
-                x = (x - _eval_mod(f.coeffs, x, m) * pow(_eval_mod(df.coeffs, x, m), -1, m)) % m
+            x, m = _hensel_lift(value, x, p, bound)
             num = lead * x % m
             if num > m // 2:
                 num -= m

@@ -11,13 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .curves import (
-    Curve,
-    Point,
-    _integral_order,
-    disc_AB,
-    twist_point,
-)
+from .curves import Curve, Point, _integral_order, disc_AB
 from .errors import (
     DegenerateParameterError,
     FamilyDataError,
@@ -78,11 +72,10 @@ class DetectionTrace:
 
 
 def eval_AB(w: Witness) -> tuple[Fraction, Fraction]:
-    """Exact family coefficients A = -27 k^4 U_n(p,q), B = (+-)54 k^6 V_n(p,q)."""
-    fam = w.family
-    A = -27 * w.k**4 * fam.U(w.p, w.q)
-    B = fam.b_sign * 54 * w.k**6 * fam.V(w.p, w.q)
-    return A, B
+    """Exact family coefficients A = -27 k^4 U_n(p,q), B = (+-)54 k^6 V_n(p,q),
+    read off the 6-twist: ``eval_FG(w)`` divided by (6^4, 6^6)."""
+    F, G = eval_FG(w)
+    return Fraction(F, 1296), Fraction(G, 46656)
 
 
 def eval_FG(w: Witness) -> tuple[int, int]:
@@ -147,20 +140,20 @@ def _witness_point(x6: int, y6: int) -> Point:
 def generate_curve(w: Witness) -> CurveRecord:
     """Validated record for the witness curve.
 
-    Uses the direct (A, B) model when it is integral, otherwise the 6-twist
-    (6^4 A, 6^6 B) model (recorded as ``form="fg6"``).  The torsion oracle
-    independently confirms a point of order n.
+    Generation runs on the integral 6-twist: one ``_six_twist_points`` call
+    gives (F, G) = (6^4 A, 6^6 B) and the checked order-n points there.  When
+    6^4 | F and 6^6 | G the direct model (A, B) is recorded with the points
+    (x/36, y/216) (``form="ab"``); otherwise the 6-twist itself
+    (``form="fg6"``).  The torsion oracle independently confirms a point of
+    order n.
     """
-    A, B = eval_AB(w)
-    points = order_n_points(w)
-    if A.denominator == 1 and B.denominator == 1:
-        curve = Curve(int(A), int(B))
-        form = "ab"
+    F, G, points = _six_twist_points(w)
+    if F % 1296 == 0 and G % 46656 == 0:
+        curve, form = Curve(F // 1296, G // 46656), "ab"
+        points = [_witness_point(x, y) for x, y in points]
     else:
-        F, G = eval_FG(w)
-        curve = Curve(F, G)
-        points = [twist_point(P, 6) for P in points]
-        form = "fg6"
+        curve, form = Curve(F, G), "fg6"
+        points = [Point(x, y) for x, y in points]
     report = torsion_structure(curve)
     if report.exponent % w.n:
         raise FamilyDataError(

@@ -4,8 +4,9 @@ The torsion of an integral model injects into E(F_p) at each odd prime p of
 good reduction (Silverman, AEC VII.3.1), so its order divides the gcd N of a
 few such #E(F_p).  Past the 2-torsion, the torsion points have integral x
 (Nagell-Lutz) that are roots of the division polynomial g_N (Washington,
-Elliptic Curves, 3.2); they are lifted p-adically from the roots of g_N mod
-p and kept when they give points of order at most 12.  The points are
+Elliptic Curves, 3.2); they are Newton-lifted p-adically from the roots of
+g_N mod p by ``exact._hensel_lift``, the lift ``exact.rational_roots`` uses
+too, and kept when they give points of order at most 12.  The points are
 classified into the fifteen possible rational torsion groups.
 """
 
@@ -13,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .curves import INFINITY, Curve, Point, _integral_order, point_order
 from .errors import FamilyDataError
-from .exact import _primes_from, integer_roots_monic_cubic
+from .exact import _hensel_lift, _primes_from, integer_roots_monic_cubic
 
 MAZUR_ORDER_CAP = 12
 
@@ -58,7 +59,7 @@ def _count_points(A: int, B: int, p: int) -> int:
     return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
 
 
-def _division_value(N: int, x: int, A: int, B: int, m: int) -> int:
+def _division_value(N: int, A: int, B: int, x: int, m: int) -> int:
     """g_N(x) mod m, where g_N is the division polynomial psi_N for odd N and
     psi_N / psi_2 for even N, by the doubling recurrence on values (N >= 1)."""
     F = 16 * (x**3 + A * x + B) ** 2 % m
@@ -80,23 +81,17 @@ def _division_value(N: int, x: int, A: int, B: int, m: int) -> int:
 def _division_roots(N: int, A: int, B: int, disc: int) -> list[int]:
     """Every integer x with |x| < 1 + |A| + |B| + |disc| and g_N(x) = 0, and
     other integers besides: each root of g_N mod the first odd prime p not
-    dividing N * disc, a simple root there, is Newton-lifted until the
-    modulus exceeds twice that bound, and its symmetric residue is returned."""
+    dividing N * disc, a simple root there, is Newton-lifted by
+    ``exact._hensel_lift`` until the modulus exceeds twice that bound, and its
+    symmetric residue is returned."""
     p = next(q for q in _primes_from(3) if N * disc % q)
     bound = 2 * (1 + abs(A) + abs(B) + abs(disc))
+    value = partial(_division_value, N, A, B)
     lifts = []
     for x in range(p):
-        if _division_value(N, x, A, B, p):
-            continue
-        m = p
-        while m <= bound:
-            # g(x + m) - g(x) = m g'(x) mod m**2, and g'(x) is a unit mod m
-            mm = m * m
-            gx = _division_value(N, x, A, B, mm)
-            dg = (_division_value(N, x + m, A, B, mm) - gx) % mm // m
-            x = (x - gx * pow(dg, -1, m)) % mm
-            m = mm
-        lifts.append(x - m if x > m // 2 else x)
+        if value(x, p) == 0:
+            x, m = _hensel_lift(value, x, p, bound)
+            lifts.append(x - m if x > m // 2 else x)
     return lifts
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from torsionforms import (
     Curve,
+    CurveRecord,
     DegenerateParameterError,
     FAMILIES,
     FAMILY_ORDERS,
@@ -30,6 +31,7 @@ from torsionforms import (
     scalar_mul,
     twist_point,
     torsion_points,
+    torsion_structure,
     twist_scale,
 )
 from torsionforms import curves, families, thue
@@ -302,7 +304,7 @@ class TestPositivePath:
             raise AssertionError("detect used the rational group law")
 
         for module, name in [(curves, "on_curve"), (curves, "_add_unchecked"),
-                             (thue, "twist_point")]:
+                             (curves, "twist_point")]:
             monkeypatch.setattr(module, name, forbidden)
         for c, n in cases:
             assert detect(c, n) is not None, (c, n)
@@ -350,6 +352,46 @@ def test_order_n_points_matches_fraction_reference(branch, p, q):
             order_n_points(w)
         return
     assert order_n_points(w) == expected
+
+
+def fraction_generate_line(w: Witness) -> str:
+    """Reference: the record built in Fraction on the witness curve,
+    A = -27 k^4 U and B = +-54 k^6 V (``eval_AB`` must give the same), its
+    points moved onto the 6-twist by the rational twist map when (A, B) is
+    not integral."""
+    fam = w.family
+    A = -27 * w.k**4 * fam.U(w.p, w.q)
+    B = fam.b_sign * 54 * w.k**6 * fam.V(w.p, w.q)
+    assert eval_AB(w) == (A, B)
+    points = order_n_points(w)
+    if A.denominator == 1 and B.denominator == 1:
+        curve, form = Curve(int(A), int(B)), "ab"
+    else:
+        curve, form = Curve(int(1296 * A), int(46656 * B)), "fg6"
+        points = [twist_point(P, 6) for P in points]
+    return CurveRecord(
+        n=w.n, p=w.p, q=w.q, k=w.k, curve=curve, delta=curve.disc,
+        points=tuple(points), group_label=torsion_structure(curve).group_label,
+        provenance="generated", form=form,
+    ).to_json_line()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(branch=st.sampled_from(BRANCHES), p=st.integers(-8, 8), q=st.integers(-8, 8))
+def test_generate_curve_matches_fraction_reference(branch, p, q):
+    n, k = branch
+    try:
+        w = Witness(n, p, q, k)
+    except SideConditionError:
+        reject()
+    try:
+        expected = fraction_generate_line(w)
+    except DegenerateParameterError:
+        with pytest.raises(DegenerateParameterError):
+            generate_curve(w)
+        return
+    assert generate_curve(w).to_json_line() == expected
 
 
 def fraction_witness_from_alpha_u(n: int, alpha: F, u: F):
