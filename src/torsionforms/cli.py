@@ -15,9 +15,8 @@ from fractions import Fraction
 from .bounds import mazur_count_bound, prime_factor_count
 from .curves import Curve
 from .errors import DegenerateParameterError, SideConditionError
-from .exact import decimal_to_int, int_to_decimal
+from .exact import decimal_to_int, int_to_decimal, rational_to_decimal
 from .families import FAMILIES, FAMILY_ORDERS
-from .records import _rational_to_decimal
 from .tate import interpolated_pipeline_poly
 from .thue import Witness, detect, generate_curve, param_cross_check
 from .torsion import has_point_of_order
@@ -59,17 +58,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="emit the validated curve record of one witness")
     p.add_argument("n", type=int, choices=FAMILY_ORDERS)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=decimal_to_int)
+    p.add_argument("q", type=decimal_to_int)
     p.add_argument("--k", default="1", help="branch value: 1, 1/2 or 1/3 (default 1)")
 
     p = sub.add_parser("scan", help="emit JSONL records over a (p, q, k) grid")
     p.add_argument("n", type=int, choices=FAMILY_ORDERS)
     p.add_argument("--search-bound", type=int, default=50)
-    p.add_argument("--pmin", type=int, default=None)
-    p.add_argument("--pmax", type=int, default=None)
-    p.add_argument("--qmin", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=None)
+    p.add_argument("--pmin", type=decimal_to_int, default=None)
+    p.add_argument("--pmax", type=decimal_to_int, default=None)
+    p.add_argument("--qmin", type=decimal_to_int, default=None)
+    p.add_argument("--qmax", type=decimal_to_int, default=None)
     p.add_argument("--k", choices=["all", "1", "1/2", "1/3"], default="all")
     p.add_argument("--out", default=None, help="output path (default standard output)")
     p.add_argument("--workers", type=int, default=1)
@@ -106,8 +105,8 @@ def cmd_detect(args) -> int:
         report["message"] = f"no point of order {args.n}"
     else:
         report["message"] = "witness found"
-        report["alpha"] = _rational_to_decimal(trace.alpha)
-        report["u"] = _rational_to_decimal(trace.u)
+        report["alpha"] = rational_to_decimal(trace.alpha)
+        report["u"] = rational_to_decimal(trace.u)
         report["u2"] = int_to_decimal(trace.u2)
         report["scale"] = int_to_decimal(trace.scale)
         report["discrepancy"] = trace.discrepancy

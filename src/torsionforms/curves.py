@@ -9,6 +9,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import OffCurveError, SingularCurveError
+from .exact import int_to_decimal, rational_to_decimal
 
 
 def disc_AB(A, B):
@@ -28,7 +29,8 @@ class Curve:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError("curve coefficients must be integers")
         if disc_AB(self.A, self.B) == 0:
-            raise SingularCurveError(f"discriminant vanishes for (A, B) = ({self.A}, {self.B})")
+            raise SingularCurveError(f"discriminant vanishes for (A, B) = "
+                                     f"({int_to_decimal(self.A)}, {int_to_decimal(self.B)})")
 
     @property
     def disc(self) -> int:
@@ -39,7 +41,7 @@ class Curve:
         return Fraction(6912 * self.A**3, 4 * self.A**3 + 27 * self.B**2)
 
     def __repr__(self) -> str:
-        return f"Curve(A={self.A}, B={self.B})"
+        return f"Curve(A={int_to_decimal(self.A)}, B={int_to_decimal(self.B)})"
 
 
 class Infinity:
@@ -71,7 +73,7 @@ class Point:
         object.__setattr__(self, "y", Fraction(self.y))
 
     def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
+        return f"({rational_to_decimal(self.x)}, {rational_to_decimal(self.y)})"
 
 
 PointLike = Union[Point, Infinity]

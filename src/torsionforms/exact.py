@@ -209,6 +209,12 @@ def int_to_decimal(n: int) -> str:
     return sign + "".join(reversed(chunks))
 
 
+def rational_to_decimal(x: Fraction) -> str:
+    """``str(x)`` for a Fraction of any number of digits."""
+    num = int_to_decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_to_decimal(x.denominator)}"
+
+
 def decimal_to_int(s: str) -> int:
     """The int written as an optionally signed string of decimal digits, of
     any length; raises ``ValueError`` on anything else."""

@@ -13,17 +13,12 @@ from fractions import Fraction
 
 from .curves import Curve, Point, on_curve, point_order
 from .errors import FamilyDataError
-from .exact import decimal_to_int, int_to_decimal
+from .exact import decimal_to_int, int_to_decimal, rational_to_decimal
 from .torsion import MAZUR_LABELS
 
 
-def _rational_to_decimal(x: Fraction) -> str:
-    num = int_to_decimal(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{int_to_decimal(x.denominator)}"
-
-
 def _decimal_to_rational(s: str) -> Fraction:
-    """Inverse of :func:`_rational_to_decimal`; raises ``ValueError`` on
+    """Inverse of :func:`rational_to_decimal`; raises ``ValueError`` on
     anything but ``int`` or ``int/int`` with a nonzero denominator."""
     parts = [decimal_to_int(part) for part in s.split("/", 1)]
     if parts[1:] == [0]:
@@ -53,7 +48,7 @@ class CurveRecord:
             "A": int_to_decimal(self.curve.A),
             "B": int_to_decimal(self.curve.B),
             "delta": int_to_decimal(self.delta),
-            "points": [[_rational_to_decimal(P.x), _rational_to_decimal(P.y)]
+            "points": [[rational_to_decimal(P.x), rational_to_decimal(P.y)]
                        for P in self.points],
             "group_label": self.group_label,
             "provenance": self.provenance,
@@ -97,7 +92,8 @@ class CurveRecord:
         every point, and exact point orders."""
         if self.curve.disc != self.delta:
             raise FamilyDataError(
-                f"stored delta {self.delta} != discriminant {self.curve.disc}"
+                f"stored delta {int_to_decimal(self.delta)} != discriminant "
+                f"{int_to_decimal(self.curve.disc)}"
             )
         if self.group_label not in MAZUR_LABELS:
             raise FamilyDataError(f"unrecognized group label {self.group_label!r}")
@@ -107,5 +103,6 @@ class CurveRecord:
             order = point_order(self.curve, P)
             if order != self.n:
                 raise FamilyDataError(
-                    f"recorded point {P!r} has order {order}, expected {self.n}"
+                    f"recorded point {P!r} has order {order}, expected "
+                    f"{int_to_decimal(self.n)}"
                 )

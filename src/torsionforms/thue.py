@@ -17,7 +17,8 @@ from .errors import (
     FamilyDataError,
     SideConditionError,
 )
-from .exact import integer_nth_root, rational_roots, rational_square_root
+from .exact import int_to_decimal, integer_nth_root, rational_roots, rational_square_root
+from .exact import rational_to_decimal
 from .families import FAMILIES, ThueFamily, family, fg_forms
 from .records import CurveRecord
 from .torsion import CACHE_SIZE, torsion_structure
@@ -38,11 +39,13 @@ class Witness:
         fam = family(self.n)
         if self.k not in fam.kset:
             raise SideConditionError(
-                f"k = {self.k} is not in the n = {self.n} branch set {fam.kset}"
+                f"k = {rational_to_decimal(self.k)} is not in the n = {self.n} "
+                f"branch set {fam.kset}"
             )
         if not fam.side_conditions_ok(self.p, self.q):
             raise SideConditionError(
-                f"(p, q) = ({self.p}, {self.q}) violates the n = {self.n} side conditions"
+                f"(p, q) = ({int_to_decimal(self.p)}, {int_to_decimal(self.q)}) violates "
+                f"the n = {self.n} side conditions"
             )
 
     @property
@@ -58,7 +61,8 @@ class DetectionTrace:
     ``u2`` is the branch denominator (the part of the twist that cannot be
     absorbed into integers; always in {1, 2, 3} when conversion succeeds) and
     ``scale`` the residual integer multiplier: the curve satisfies
-    6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q).
+    6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q)
+    (``detect`` checks it on the root's model, points included).
     ``discrepancy`` is set when the plain integral system (scale absorbed into
     (p, q)) has no solution even though the matching system does.
     """
@@ -97,36 +101,40 @@ def order_n_points(w: Witness) -> list[Point]:
 
 
 def _six_twist_points(w: Witness) -> tuple[int, int, list[tuple[int, int]]]:
-    """(F, G) = ``eval_FG(w)`` and the printed order-n points, as integer
-    pairs, on the 6-twist y**2 = x**3 + F*x + G of the witness curve.
+    """(F, G) = ``eval_FG(w)`` and the checked order-n points, as integer
+    pairs, on the 6-twist y**2 = x**3 + F*x + G of the witness curve."""
+    return _checked_model(w.n, w.p, w.q, 6 * w.k.numerator // w.k.denominator)
 
-    The point (3 k**2 X, 108 k**3 Y) of the witness curve maps to
-    (3 (6k)**2 X, 108 (6k)**3 Y), and 6k is an integer on every branch (see
-    ``fg_forms``).  So the points and, on this integral model, all their
-    multiples are integral (Nagell-Lutz), and the checks run in int.
+
+def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """(F, G) = (-27 S^4 U_n(p, q), +-54 S^6 V_n(p, q)) and the printed points
+    (3 S^2 X_i, +-108 S^3 Y_i), checked on y**2 = x**3 + F*x + G.
+
+    S = 6k, an integer on every branch (see ``fg_forms``), gives the 6-twist
+    of the witness curve (n, p, q, k), and S = 1 the primitive model.  The
+    points and all their multiples are integral (Nagell-Lutz), so the checks
+    run in int: nonsingular, every point on the curve and of exact order n.
     """
-    fam = w.family
-    F, G = eval_FG(w)
+    fam = FAMILIES[n]
+    F, G = -27 * S**4 * fam.U(p, q), fam.b_sign * 54 * S**6 * fam.V(p, q)
+    pq = f"{int_to_decimal(p)}, {int_to_decimal(q)}"
     if disc_AB(F, G) == 0:
-        raise DegenerateParameterError(
-            f"witness (p, q) = ({w.p}, {w.q}) generates a singular curve"
-        )
-    s = 6 * w.k.numerator // w.k.denominator
-    cx, cy = 3 * s**2, 108 * s**3
+        raise DegenerateParameterError(f"witness (p, q) = ({pq}) generates a singular curve")
+    cx, cy = 3 * S**2, 108 * S**3
     points = []
     for Xf, Yf in zip(fam.point_x, fam.point_y):
-        x, y = cx * Xf(w.p, w.q), cy * Yf(w.p, w.q)
+        x, y = cx * Xf(p, q), cy * Yf(p, q)
         if y * y != x**3 + F * x + G:
             raise FamilyDataError(
-                f"point {_witness_point(x, y)!r} is off the n = {w.n} curve at "
-                f"(p, q, k) = ({w.p}, {w.q}, {w.k})"
+                f"point {_witness_point(x, y)!r} is off the n = {n} curve at "
+                f"(p, q, k) = ({pq}, {Fraction(S, 6)})"
             )
         points += [(x, y), (x, -y)]
     for x, y in points:
         order = _integral_order(F, x, y, 16)
-        if order != w.n:
+        if order != n:
             raise FamilyDataError(
-                f"point {_witness_point(x, y)!r} has order {order}, expected {w.n}"
+                f"point {_witness_point(x, y)!r} has order {order}, expected {n}"
             )
     return F, G, points
 
@@ -170,30 +178,29 @@ def generate_curve(w: Witness) -> CurveRecord:
 # detection
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _matching_roots(n: int, j: Fraction) -> tuple[tuple[Fraction, int, int, int, int], ...]:
+def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     """Rational roots of the u-eliminated matching polynomial
 
         M(alpha) = B^2 numA(alpha)^3 denB(alpha)^2 - A^3 numB(alpha)^2 denA(alpha)^3,
 
-    with their Tate values.
+    with their Tate values and their checked primitive models.
 
-    The root set depends on the curve only through j = a/b, so M is built as
-    4 (1728 b - a) numA^3 - 27 a numB^2, which is 186624 M / t for the t with
-    4 A^3 + 27 B^2 = t b, and cached per (n, j): all twists share an entry.
-    An entry holds (alpha, an, ad, bn, bd) with A_n(alpha) = an/ad and
-    B_n(alpha) = bn/bd in lowest terms for each root where both are finite
-    and nonzero (the others solve the system for no curve), so a hit
-    evaluates no Tate value.
+    The root set depends on the curve only through j = a/b (lowest terms,
+    b > 0), so M is built as 4 (1728 b - a) numA^3 - 27 a numB^2, which is
+    186624 M / t for the t with 4 A^3 + 27 B^2 = t b, and cached per
+    (n, a, b): all twists share an entry.  It holds a row
+    (alpha, an, ad, bn, bd, F0, G0, points) for each root where
+    A_n(alpha) = an/ad and B_n(alpha) = bn/bd (lowest terms) are finite and
+    nonzero (the others solve the system for no curve); (F0, G0, points) is
+    ``_checked_model`` at S = 1 and (sigma * alpha.numerator,
+    alpha.denominator).  So a hit evaluates no Tate value, form or order.
     """
     fam = FAMILIES[n]
-    a, b = j.numerator, j.denominator
     M = 4 * (1728 * b - a) * fam.tate_A_num**3 - 27 * a * fam.tate_B_num**2
     # the alpha-power denominators (n = 8) contribute equal alpha^12 factors
     # to both terms and drop out of the root set
     if M.is_zero():
-        raise FamilyDataError(
-            "matching polynomial vanished identically for a nonsingular curve"
-        )
+        raise FamilyDataError("matching polynomial vanished identically for a nonsingular curve")
     entry = []
     roots = sorted(rational_roots(M), key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
     for alpha in roots:
@@ -201,7 +208,9 @@ def _matching_roots(n: int, j: Fraction) -> tuple[tuple[Fraction, int, int, int,
             continue
         An, Bn = fam.tate_value(alpha)
         if An and Bn:
-            entry.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator))
+            F0, G0, points = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
+            entry.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator,
+                          F0, G0, tuple(points)))
     return tuple(entry)
 
 
@@ -233,11 +242,12 @@ def _witness_from_alpha_u(
                 return Witness(n, s * p0, s * q0, k), 1, k.denominator, None
     if Fraction(1, b) in fam.kset:
         note = (
-            f"no integral solution of the plain system; residual scale {m} "
+            f"no integral solution of the plain system; residual scale {int_to_decimal(m)} "
             f"on the k = 1/{b} branch"
         )
         return Witness(n, p0, q0, Fraction(1, b)), m, b, note
-    return None, m, b, f"branch factor {Fraction(m, b)} has denominator outside the branch set"
+    return None, m, b, (f"branch factor {rational_to_decimal(Fraction(m, b))} has denominator "
+                        "outside the branch set")
 
 
 def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
@@ -249,24 +259,44 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     A*B = 0 need no special case: the matching polynomial becomes a multiple
     of numA**3 or numB**2, neither of which has a rational root.
 
-    The roots and their Tate values come from the (n, j) cache of
-    ``_matching_roots``; from them u, its re-check and the witness are
-    computed in int.
+    The roots come from the (n, j) cache of ``_matching_roots``; u, its
+    re-check and the witness (s p0, s q0, k) are computed in int.  U, V, X, Y
+    are homogeneous of degrees 4j, 6j, 2j, 3j, so with mu = scale * 6k * s^j
+    the root's model must satisfy mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and
+    (x, y) -> (mu^2 x, mu^3 y), which keeps orders, puts its points on c's
+    6-twist.
     """
     if n not in FAMILIES:
         raise ValueError(f"detection is defined for n in {sorted(FAMILIES)}, got {n}")
+    A, B = c.A, c.B
+    # j = 6912 A^3 / (4 A^3 + 27 B^2) in lowest terms with a positive denominator
+    ja, jb = 6912 * A**3, 4 * A**3 + 27 * B**2
+    g = math.gcd(ja, jb) if jb > 0 else -math.gcd(ja, jb)
+    A6, B6 = 1296 * A, 46656 * B
     best: Optional[DetectionTrace] = None
-    for alpha, an, ad, bn, bd in _matching_roots(n, c.j_invariant):
-        u = rational_square_root(Fraction(c.A * bn * ad, c.B * bd * an))
-        if u is None or u == 0:
+    for alpha, an, ad, bn, bd, F0, G0, points in _matching_roots(n, ja // g, jb // g):
+        # u^2 = A bn ad / (B bd an) = r^2 / t^2 in lowest terms
+        un, ud = A * bn * ad, B * bd * an
+        h = math.gcd(un, ud) if ud > 0 else -math.gcd(un, ud)
+        un, ud = un // h, ud // h
+        if un <= 0:
             continue
-        # u**4 A = an/ad and u**6 B = bn/bd, with u = r/t
-        r, t = u.numerator, u.denominator
-        if r**4 * c.A * ad != an * t**4 or r**6 * c.B * bd != bn * t**6:
+        r, t = math.isqrt(un), math.isqrt(ud)
+        if r * r != un or t * t != ud:
+            continue
+        # u**4 A = an/ad and u**6 B = bn/bd
+        if r**4 * A * ad != an * t**4 or r**6 * B * bd != bn * t**6:
             raise FamilyDataError("matching root failed the exact system re-check")
+        u = Fraction(r, t)
         witness, scale, u2, note = _witness_from_alpha_u(n, alpha, u)
         if witness is not None:
-            _validate_trace(c, witness, scale)
+            k, s = witness.k, witness.q // alpha.denominator
+            mu = scale * (6 * k.numerator // k.denominator) * s**FAMILIES[n].scale_power
+            if mu**4 * F0 != A6 or mu**6 * G0 != B6:
+                raise FamilyDataError("witness failed the 6-scaled system validation")
+            sx, sy = mu**2, mu**3
+            if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
+                raise FamilyDataError("witness points do not map onto the curve's 6-twist")
         trace = DetectionTrace(
             alpha=alpha, u=u, u2=u2, witness=witness, scale=scale, discrepancy=note
         )
@@ -275,19 +305,6 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
         if best is None:
             best = trace
     return best
-
-
-def _validate_trace(c: Curve, w: Witness, scale: int) -> None:
-    F, G, points = _six_twist_points(w)
-    if scale**4 * F != 1296 * c.A or scale**6 * G != 46656 * c.B:
-        raise FamilyDataError("witness failed the 6-scaled system validation")
-    # (x, y) -> (scale**2 x, scale**3 y) maps the witness's 6-twist onto c's
-    sx, sy = scale**2, scale**3
-    A6, B6 = 1296 * c.A, 46656 * c.B
-    for x, y in points:
-        x, y = sx * x, sy * y
-        if y * y != x**3 + A6 * x + B6:
-            raise FamilyDataError("witness points do not map onto the curve's 6-twist")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from torsionforms import cli
-from torsionforms.exact import int_to_decimal
+from torsionforms.exact import decimal_to_int, int_to_decimal
 from torsionforms.records import CurveRecord
 
 CLI = [sys.executable, "-m", "torsionforms"]
@@ -50,6 +50,14 @@ class TestDetectCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["agree"] and report["A"] == A
 
+    def test_singular_curve_past_the_int_str_limit(self, capsys):
+        A, B = -3 * 10**3000, 2 * 10**4500
+        assert cli.main(["detect", "--", int_to_decimal(A), int_to_decimal(B), "7"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: discriminant vanishes for (A, B) = "
+            f"({int_to_decimal(A)}, {int_to_decimal(B)})\n"
+        )
+
     def test_oracle_answers_on_random_curves(self, capsys):
         # most of these discriminants do not factor by trial division
         rng = random.Random(30)
@@ -86,6 +94,13 @@ class TestGenerateCommand:
         rec = CurveRecord.from_json_line(r.stdout.strip())
         assert rec.group_label == "Z/9Z"
 
+    def test_integers_past_the_int_str_limit(self, capsys):
+        p = "7" * 4400
+        assert cli.main(["generate", "5", p, "1"]) == 0
+        rec = CurveRecord.from_json_line(capsys.readouterr().out)
+        assert (rec.n, rec.p, rec.q) == (5, decimal_to_int(p), 1)
+        assert rec.group_label == "Z/5Z"
+
     def test_branch_flag(self):
         r = run("generate", "7", "2", "1", "--k", "1/3")
         rec = CurveRecord.from_json_line(r.stdout.strip())
@@ -117,6 +132,12 @@ class TestScanCommand:
         # p=q cells (1,1), (2,2) and 2p=q cell (1,2), twice for the two branches
         assert int(stats["skipped_side"]) == 6
         assert int(stats["scanned"]) == 8
+
+    def test_bounds_past_the_int_str_limit(self, capsys):
+        big = "9" * 4400
+        grid = ["--pmin", big, "--pmax", "1", "--qmin", "-" + big, "--qmax", "1"]
+        assert cli.main(["scan", "5", *grid]) == 0
+        assert capsys.readouterr().err.startswith("scanned=0 emitted=0 ")
 
     def test_csv_output(self):
         r = run("scan", "5", "--pmin", "1", "--pmax", "1", "--qmin", "1", "--qmax", "2", "--csv")

@@ -32,6 +32,7 @@ from torsionforms import (
     twist_scale,
 )
 from torsionforms import curves
+from torsionforms.exact import int_to_decimal
 
 
 class TestDiscriminant:
@@ -39,6 +40,20 @@ class TestDiscriminant:
         assert disc_AB(0, 0) == 0
         with pytest.raises(SingularCurveError):
             Curve(0, 0)
+
+    def test_singular_past_the_int_str_limit(self):
+        # 4A^3 + 27B^2 = 0 with a 4501-digit B
+        A, B = -3 * 10**3000, 2 * 10**4500
+        with pytest.raises(SingularCurveError, match="^discriminant vanishes for") as info:
+            Curve(A, B)
+        assert str(info.value).endswith(f"({int_to_decimal(A)}, {int_to_decimal(B)})")
+
+    def test_repr_past_the_int_str_limit(self):
+        A, x = 10**5000, F(10**4400, 3)
+        assert repr(Curve(A, 1)) == f"Curve(A={int_to_decimal(A)}, B=1)"
+        assert repr(Point(x, -1)) == f"({int_to_decimal(10**4400)}/3, -1)"
+        assert repr(Curve(-43, 166)) == "Curve(A=-43, B=166)"
+        assert repr(Point(F(1, 2), 3)) == "(1/2, 3)"
 
     def test_non_integer_coefficients_rejected(self):
         for A, B in [(True, 1), (1, False), (1.0, 1), (F(1), 1)]:

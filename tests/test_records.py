@@ -1,9 +1,11 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from torsionforms import FamilyDataError, Witness, generate_curve, twist_point, twist_scale
+from torsionforms.exact import int_to_decimal
 from torsionforms.records import CurveRecord
 
 
@@ -60,6 +62,25 @@ class TestValidation:
         d["delta"] = str(int(d["delta"]) + 1)
         with pytest.raises(FamilyDataError):
             CurveRecord.from_dict(d)
+
+    def test_messages_past_the_int_str_limit(self, record):
+        u = 10**900
+        c = twist_scale(record.curve, u)
+        P = twist_point(record.points[0], u)
+        tampered = dict(curve=c, delta=c.disc + 1, points=(P,))
+        base = {f: getattr(record, f) for f in ("n", "p", "q", "k", "group_label",
+                                                "provenance", "form")}
+        with pytest.raises(FamilyDataError, match=re.escape(
+                f"stored delta {int_to_decimal(c.disc + 1)} != discriminant")):
+            CurveRecord(**base, **tampered).validate()
+        tampered.update(delta=c.disc, points=(twist_point(P, 2),))
+        with pytest.raises(FamilyDataError, match=re.escape(
+                f"recorded point ({int_to_decimal(4 * P.x.numerator)}, ")):
+            CurveRecord(**base, **tampered).validate()
+        base["n"] = 7
+        tampered.update(points=(P,))
+        with pytest.raises(FamilyDataError, match="has order 5, expected 7$"):
+            CurveRecord(**base, **tampered).validate()
 
     def test_off_curve_point_rejected(self, record):
         d = record.to_dict()

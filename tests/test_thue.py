@@ -34,8 +34,15 @@ from torsionforms import (
     torsion_structure,
     twist_scale,
 )
-from torsionforms import curves, families, thue
-from torsionforms.exact import rational_nth_root, rational_roots, rational_square_root
+from torsionforms import curves, exact, families, thue
+from torsionforms.exact import (
+    int_to_decimal,
+    integer_nth_root,
+    rational_nth_root,
+    rational_roots,
+    rational_square_root,
+    rational_to_decimal,
+)
 
 BRANCH_NECESSITY_CURVES = [
     (-43, 166, 7, F(1, 3)),
@@ -49,6 +56,31 @@ def _integral_curve(w: Witness) -> Curve:
     if A.denominator == 1 and B.denominator == 1:
         return Curve(int(A), int(B))
     return Curve(*eval_FG(w))
+
+
+def validate_trace(c: Curve, w: Witness, scale: int) -> None:
+    """Reference check of a trace: the witness's 6-twist, evaluated afresh,
+    rescaled by ``scale`` is c's 6-twist, and its checked order-n points map
+    onto it."""
+    F_val, G_val, points = thue._six_twist_points(w)
+    if scale**4 * F_val != 1296 * c.A or scale**6 * G_val != 46656 * c.B:
+        raise FamilyDataError("witness failed the 6-scaled system validation")
+    # (x, y) -> (scale**2 x, scale**3 y) maps the witness's 6-twist onto c's
+    sx, sy = scale**2, scale**3
+    A6, B6 = 1296 * c.A, 46656 * c.B
+    for x, y in points:
+        x, y = sx * x, sy * y
+        if y * y != x**3 + A6 * x + B6:
+            raise FamilyDataError("witness points do not map onto the curve's 6-twist")
+
+
+@pytest.fixture
+def cold_root_cache():
+    """An empty root cache, emptied again afterwards so that nothing a test
+    patched in stays cached."""
+    thue._matching_roots.cache_clear()
+    yield
+    thue._matching_roots.cache_clear()
 
 
 class TestOrderNPoints:
@@ -93,6 +125,16 @@ class TestOrderNPoints:
     def test_degenerate_witness_rejected(self):
         with pytest.raises(DegenerateParameterError):
             order_n_points(Witness(8, 1, 0, F(1)))  # singular at q = 0
+
+    def test_messages_past_the_int_str_limit(self):
+        big = 10**5000
+        with pytest.raises(DegenerateParameterError,
+                           match=f"^witness \\(p, q\\) = \\({int_to_decimal(big)}, 0\\) generates"):
+            order_n_points(Witness(8, big, 0, F(1)))
+        with pytest.raises(SideConditionError, match=f"^\\(p, q\\) = \\({int_to_decimal(big)}, "):
+            Witness(7, big, big, F(1))
+        with pytest.raises(SideConditionError, match=f"^k = {int_to_decimal(big)} is not in"):
+            Witness(5, 2, 1, F(big))
 
 
 class TestGenerateCurve:
@@ -225,6 +267,32 @@ class TestDetect:
         assert (w.n, w.p, w.q, w.k) == (7, 2, 1, 1)
         assert traces[3].discrepancy is None
 
+    def test_positive_hit_evaluates_no_form_and_no_order(self, monkeypatch):
+        c = Curve(-43, 166)
+        detect(c, 7)
+
+        def forbidden(*args):
+            raise AssertionError("a positive root-cache hit evaluated a form or a point order")
+
+        monkeypatch.setattr(exact.HomForm, "__call__", forbidden)
+        monkeypatch.setattr(thue, "_integral_order", forbidden)
+        monkeypatch.setattr(curves, "_integral_order", forbidden)
+        for u in (1, 2, 3, 6, 7):
+            assert detect(twist_scale(c, u), 7) is not None
+
+    def test_residual_scale_past_the_int_str_limit(self):
+        # the residual scale 2**14701 has 4426 digits
+        trace = detect(twist_scale(Curve(-43, 166), 2**14701), 7)
+        assert trace is not None and trace.scale == 2**14701
+        assert trace.discrepancy == (
+            f"no integral solution of the plain system; residual scale "
+            f"{int_to_decimal(2**14701)} on the k = 1/3 branch"
+        )
+        # the note of a small scale is unchanged
+        assert detect(Curve(-688, 10624), 7).discrepancy == (
+            "no integral solution of the plain system; residual scale 2 on the k = 1/3 branch"
+        )
+
     def test_residual_scale_flagged_on_quartic_twist(self):
         # the 2-twist keeps the order-7 point but the plain integral system
         # loses solvability; the trace carries the residual scale
@@ -260,29 +328,45 @@ class TestPositivePath:
         Bn = F(fam.tate_B_num(a)) / a**fam.tate_B_denpow
         assert (trace.u**4 * c.A, trace.u**6 * c.B) == (An, Bn)
         if trace.witness is not None:
-            thue._validate_trace(c, trace.witness, trace.scale)
+            validate_trace(c, trace.witness, trace.scale)
 
-    def test_corrupted_point_table_rejected(self, monkeypatch):
+    def test_corrupted_point_table_rejected(self, monkeypatch, cold_root_cache):
+        # a cold cache builds the root's model from the corrupted table
         fam = FAMILIES[7]
         Y = fam.point_y
         monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(fam, point_y=(2 * Y[0],) + Y[1:]))
         with pytest.raises(FamilyDataError, match="is off the n = 7 curve"):
             detect(Curve(-43, 166), 7)
 
-    def test_points_off_the_six_twist_rejected(self, monkeypatch):
-        # points moved onto the 2-twist of the witness's 6-twist are exact
+    def test_points_off_the_six_twist_rejected(self, monkeypatch, cold_root_cache):
+        # points moved onto the 2-twist of the root's model are exact
         # order-7 points of another curve: only the map onto c's 6-twist
-        # in _validate_trace can reject them
-        real = thue._six_twist_points
+        # in detect can reject them
+        real = thue._checked_model
 
-        def on_the_two_twist(w):
-            F_val, G_val, points = real(w)
+        def on_the_two_twist(n, p, q, S):
+            F_val, G_val, points = real(n, p, q, S)
             assert all(64 * y * y == (4 * x) ** 3 + 16 * F_val * 4 * x + 64 * G_val
                        for x, y in points)
             return F_val, G_val, [(4 * x, 8 * y) for x, y in points]
 
-        monkeypatch.setattr(thue, "_six_twist_points", on_the_two_twist)
-        with pytest.raises(FamilyDataError):
+        monkeypatch.setattr(thue, "_checked_model", on_the_two_twist)
+        with pytest.raises(FamilyDataError, match="do not map onto the curve's 6-twist"):
+            detect(Curve(-43, 166), 7)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_model_coefficient_mismatch_rejected(self, monkeypatch, cold_root_cache, index):
+        # a root model whose F0 (or G0) alone is wrong still carries points
+        # that map onto c's 6-twist: only the mu^4 (mu^6) check rejects it
+        real = thue._checked_model
+
+        def off_by_two(n, p, q, S):
+            model = list(real(n, p, q, S))
+            model[index] *= 2
+            return tuple(model)
+
+        monkeypatch.setattr(thue, "_checked_model", off_by_two)
+        with pytest.raises(FamilyDataError, match="6-scaled system validation"):
             detect(Curve(-43, 166), 7)
 
     def test_wrong_order_points_rejected(self, monkeypatch):
@@ -413,11 +497,12 @@ def fraction_witness_from_alpha_u(n: int, alpha: F, u: F):
     m, b = k_raw.numerator, k_raw.denominator
     if F(1, b) in fam.kset:
         note = (
-            f"no integral solution of the plain system; residual scale {m} "
+            f"no integral solution of the plain system; residual scale {int_to_decimal(m)} "
             f"on the k = 1/{b} branch"
         )
         return Witness(n, p0, q0, F(1, b)), m, b, note
-    return None, m, b, f"branch factor {k_raw} has denominator outside the branch set"
+    return None, m, b, (f"branch factor {rational_to_decimal(k_raw)} has denominator "
+                        "outside the branch set")
 
 
 def fraction_detect(c: Curve, n: int):
@@ -440,7 +525,7 @@ def fraction_detect(c: Curve, n: int):
         assert u**4 * c.A == An and u**6 * c.B == Bn
         witness, scale, u2, note = fraction_witness_from_alpha_u(n, alpha, u)
         if witness is not None:
-            thue._validate_trace(c, witness, scale)
+            validate_trace(c, witness, scale)
         trace = thue.DetectionTrace(
             alpha=alpha, u=u, u2=u2, witness=witness, scale=scale, discrepancy=note
         )
@@ -469,6 +554,36 @@ def test_detect_matches_fraction_reference(branch, p, q, a, data):
     c = _integral_curve(w)
     dens = [b for b in range(1, 13) if (c.A * a**4) % b**4 == 0 and (c.B * a**6) % b**6 == 0]
     c = twist_scale(c, F(a, data.draw(st.sampled_from(dens), label="b")))
+    expected = fraction_detect(c, n)
+    assert expected is not None
+    assert detect(c, n) == expected
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(p=st.integers(-4, 4), q=st.integers(-4, 4), a=st.integers(1, 6),
+       v=st.integers(10**4000, 10**4010), absorbed=st.booleans(), data=st.data())
+def test_detect_matches_fraction_reference_on_huge_twists(branch, p, q, a, v, absorbed, data):
+    """The same on twists by a u of 4000+ digits: either u = a v / b, mostly
+    a residual scale, or u = (a r)**j for the r with r**j just below v, which
+    turns the witness curve into that of (a r p, a r q, k)."""
+    n, k = branch
+    try:
+        w = Witness(n, p, q, k)
+    except SideConditionError:
+        reject()
+    if disc_AB(*eval_AB(w)) == 0:
+        reject()
+    c = _integral_curve(w)
+    j = FAMILIES[n].scale_power
+    if absorbed:
+        u = F((a * integer_nth_root(v, j)) ** j)
+    else:
+        dens = [b for b in range(1, 7) if (c.A * a**4) % b**4 == 0 and (c.B * a**6) % b**6 == 0]
+        u = F(a * v, data.draw(st.sampled_from(dens), label="b"))
+    c = twist_scale(c, u)
+    # fraction_detect checks every witness it meets with validate_trace
     expected = fraction_detect(c, n)
     assert expected is not None
     assert detect(c, n) == expected
