@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from .bounds import mazur_count_bound, prime_factor_count
 from .curves import Curve
@@ -110,10 +111,8 @@ def cmd_detect(args) -> int:
         report["u2"] = int_to_decimal(trace.u2)
         report["scale"] = int_to_decimal(trace.scale)
         report["discrepancy"] = trace.discrepancy
-        if trace.witness is not None:
-            w = trace.witness
-            report["witness"] = {"p": int_to_decimal(w.p), "q": int_to_decimal(w.q),
-                                 "k": str(w.k)}
+        w = trace.witness
+        report["witness"] = {"p": int_to_decimal(w.p), "q": int_to_decimal(w.q), "k": str(w.k)}
     print(json.dumps(report, sort_keys=True))
     if not report["agree"]:
         print("error: witness search and torsion oracle disagree", file=sys.stderr)
@@ -152,22 +151,26 @@ def cmd_scan(args) -> int:
         raise UsageError("bounds and worker counts must be positive")
     bound = args.search_bound
     branches = _branches(args.n, args.k)
-    cells = [
-        (args.n, p, q, str(k), args.csv)
-        for p in range(-bound if args.pmin is None else args.pmin,
-                       (bound if args.pmax is None else args.pmax) + 1)
-        for q in range(-bound if args.qmin is None else args.qmin,
-                       (bound if args.qmax is None else args.qmax) + 1)
-        for k in branches
-    ]
+    ps = range(-bound if args.pmin is None else args.pmin,
+               (bound if args.pmax is None else args.pmax) + 1)
+    qs = range(-bound if args.qmin is None else args.qmin,
+               (bound if args.qmax is None else args.qmax) + 1)
+    # the grid is walked lazily: it can be far larger than memory
+    cells = ((args.n, p, q, str(k), args.csv) for p in ps for q in qs for k in branches)
     out = open(args.out, "w") if args.out else sys.stdout
     stats = {"record": 0, "skip_side": 0, "skip_degenerate": 0}
     try:
         if args.workers > 1:
             import multiprocessing
 
+            # Pool.imap drains its whole input at once, so it gets the cells
+            # one bounded batch at a time
+            size = 512 * args.workers
+            batches = iter(lambda: list(islice(cells, size)), [])
             with multiprocessing.get_context("fork").Pool(args.workers) as pool:
-                results = pool.imap(_scan_cell, cells, chunksize=8)
+                results = chain.from_iterable(
+                    pool.imap(_scan_cell, batch, chunksize=8) for batch in batches
+                )
                 _write_scan(results, out, args.csv, stats)
         else:
             _write_scan(map(_scan_cell, cells), out, args.csv, stats)
@@ -175,7 +178,7 @@ def cmd_scan(args) -> int:
         if args.out:
             out.close()
     print(
-        f"scanned={len(cells)} emitted={stats['record']} "
+        f"scanned={sum(stats.values())} emitted={stats['record']} "
         f"skipped_side={stats['skip_side']} skipped_degenerate={stats['skip_degenerate']}",
         file=sys.stderr,
     )

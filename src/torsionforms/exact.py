@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Optional
 
-Rational = Fraction
-
 
 class IntPoly:
     """Dense univariate integer polynomial; ``coeffs[i]`` multiplies x**i."""
@@ -30,10 +28,6 @@ class IntPoly:
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("IntPoly is immutable")
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
 
     def is_zero(self) -> bool:
         return not self.coeffs

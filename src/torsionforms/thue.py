@@ -58,8 +58,8 @@ class DetectionTrace:
     """Solution of the matching system u**4 A = A_n(alpha), u**6 B = B_n(alpha),
     converted to a family witness.
 
-    ``u2`` is the branch denominator (the part of the twist that cannot be
-    absorbed into integers; always in {1, 2, 3} when conversion succeeds) and
+    ``u2`` is the branch denominator ``witness.k.denominator`` (the part of
+    the twist that cannot be absorbed into integers; always in {1, 2, 3}) and
     ``scale`` the residual integer multiplier: the curve satisfies
     6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q)
     (``detect`` checks it on the root's model, points included).
@@ -70,7 +70,7 @@ class DetectionTrace:
     alpha: Fraction
     u: Fraction
     u2: int
-    witness: Optional[Witness]
+    witness: Witness
     scale: int
     discrepancy: Optional[str] = None
 
@@ -189,41 +189,48 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     b > 0), so M is built as 4 (1728 b - a) numA^3 - 27 a numB^2, which is
     186624 M / t for the t with 4 A^3 + 27 B^2 = t b, and cached per
     (n, a, b): all twists share an entry.  It holds a row
-    (alpha, an, ad, bn, bd, F0, G0, points) for each root where
-    A_n(alpha) = an/ad and B_n(alpha) = bn/bd (lowest terms) are finite and
-    nonzero (the others solve the system for no curve); (F0, G0, points) is
-    ``_checked_model`` at S = 1 and (sigma * alpha.numerator,
-    alpha.denominator).  So a hit evaluates no Tate value, form or order.
+    (alpha, an, ad, bn, bd, F0, G0, points) for each root, where
+    A_n(alpha) = an/ad and B_n(alpha) = bn/bd in lowest terms, both finite
+    and nonzero, and (F0, G0, points) is ``_checked_model`` at S = 1 and
+    (sigma * alpha.numerator, alpha.denominator).  So a hit evaluates no
+    Tate value, form or order.
+
+    No root needs a filter: numA(0) = -27 and numB(0) = 54 in every family,
+    so M(0) = -136048896 b != 0 (M is nonzero and 0, the pole of A_8, is no
+    root), and numA, numB have no rational root to vanish at
+    (``test_tate_coefficients_have_no_rational_roots``).
     """
     fam = FAMILIES[n]
     M = 4 * (1728 * b - a) * fam.tate_A_num**3 - 27 * a * fam.tate_B_num**2
     # the alpha-power denominators (n = 8) contribute equal alpha^12 factors
     # to both terms and drop out of the root set
-    if M.is_zero():
-        raise FamilyDataError("matching polynomial vanished identically for a nonsingular curve")
     entry = []
     roots = sorted(rational_roots(M), key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
     for alpha in roots:
-        if fam.tate_A_denpow and alpha == 0:
-            continue
         An, Bn = fam.tate_value(alpha)
-        if An and Bn:
-            F0, G0, points = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
-            entry.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator,
-                          F0, G0, tuple(points)))
+        F0, G0, points = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
+        entry.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator,
+                      F0, G0, tuple(points)))
     return tuple(entry)
 
 
 def _witness_from_alpha_u(
     n: int, alpha: Fraction, u: Fraction
-) -> tuple[Optional[Witness], int, int, Optional[str]]:
+) -> tuple[Witness, int, Optional[str]]:
     """Convert a matching-system solution to a witness.
 
-    Returns ``(witness, scale, u2, discrepancy)``.  The raw branch factor is
+    Returns ``(witness, scale, discrepancy)``.  The raw branch factor is
     k_raw = 1/(u q^j) (1/(u p q) for n = 8); if k_raw/k is the j-th power of a
     positive integer s for some branch k, the scale absorbs into (s p0, s q0)
     and the plain integral system is solvable.  Otherwise the residual integer
-    scale is kept and the trace is flagged.  All of it runs in int.
+    scale m of k_raw = m/b is kept on the k = 1/b branch and the trace is
+    flagged.  All of it runs in int.
+
+    1/b is always a branch: A = -27 k_raw^4 U(p0, q0) and
+    B = +-54 k_raw^6 V(p0, q0) are integers, so b^4 | 27 U and b^6 | 54 V;
+    a prime dividing both values divides Res(U, V), and the check at each of
+    its primes leaves exactly the denominators of the branch set
+    (``test_branch_denominators_by_resultant``).
     """
     fam = FAMILIES[n]
     p0 = fam.sigma * alpha.numerator
@@ -239,15 +246,12 @@ def _witness_from_alpha_u(
         if num % den == 0:
             s = integer_nth_root(num // den, j)
             if s**j == num // den:
-                return Witness(n, s * p0, s * q0, k), 1, k.denominator, None
-    if Fraction(1, b) in fam.kset:
-        note = (
-            f"no integral solution of the plain system; residual scale {int_to_decimal(m)} "
-            f"on the k = 1/{b} branch"
-        )
-        return Witness(n, p0, q0, Fraction(1, b)), m, b, note
-    return None, m, b, (f"branch factor {rational_to_decimal(Fraction(m, b))} has denominator "
-                        "outside the branch set")
+                return Witness(n, s * p0, s * q0, k), 1, None
+    note = (
+        f"no integral solution of the plain system; residual scale {int_to_decimal(m)} "
+        f"on the k = 1/{b} branch"
+    )
+    return Witness(n, p0, q0, Fraction(1, b)), m, note
 
 
 def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
@@ -266,8 +270,7 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     (x, y) -> (mu^2 x, mu^3 y), which keeps orders, puts its points on c's
     6-twist.
     """
-    if n not in FAMILIES:
-        raise ValueError(f"detection is defined for n in {sorted(FAMILIES)}, got {n}")
+    fam = family(n)
     A, B = c.A, c.B
     # j = 6912 A^3 / (4 A^3 + 27 B^2) in lowest terms with a positive denominator
     ja, jb = 6912 * A**3, 4 * A**3 + 27 * B**2
@@ -288,17 +291,16 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
         if r**4 * A * ad != an * t**4 or r**6 * B * bd != bn * t**6:
             raise FamilyDataError("matching root failed the exact system re-check")
         u = Fraction(r, t)
-        witness, scale, u2, note = _witness_from_alpha_u(n, alpha, u)
-        if witness is not None:
-            k, s = witness.k, witness.q // alpha.denominator
-            mu = scale * (6 * k.numerator // k.denominator) * s**FAMILIES[n].scale_power
-            if mu**4 * F0 != A6 or mu**6 * G0 != B6:
-                raise FamilyDataError("witness failed the 6-scaled system validation")
-            sx, sy = mu**2, mu**3
-            if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
-                raise FamilyDataError("witness points do not map onto the curve's 6-twist")
+        witness, scale, note = _witness_from_alpha_u(n, alpha, u)
+        k, s = witness.k, witness.q // alpha.denominator
+        mu = scale * (6 * k.numerator // k.denominator) * s**fam.scale_power
+        if mu**4 * F0 != A6 or mu**6 * G0 != B6:
+            raise FamilyDataError("witness failed the 6-scaled system validation")
+        sx, sy = mu**2, mu**3
+        if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
+            raise FamilyDataError("witness points do not map onto the curve's 6-twist")
         trace = DetectionTrace(
-            alpha=alpha, u=u, u2=u2, witness=witness, scale=scale, discrepancy=note
+            alpha=alpha, u=u, u2=k.denominator, witness=witness, scale=scale, discrepancy=note
         )
         if trace.discrepancy is None:
             return trace
@@ -359,9 +361,7 @@ def param_cross_check(n: int, u, alpha) -> dict:
     alpha = Fraction(alpha)
     if u == 0:
         raise DegenerateParameterError("u must be nonzero")
-    fam = FAMILIES.get(n)
-    if fam is None:
-        raise ValueError(f"no elimination system for n = {n}")
+    fam = family(n)
     if n == 8 and alpha == 0:
         raise DegenerateParameterError("n = 8 formulas have a pole at alpha = 0")
     An, Bn = fam.tate_value(alpha)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .curves import INFINITY, Curve, Point, _integral_order, point_order
+from .curves import INFINITY, Curve, Point, _integral_order
 from .errors import FamilyDataError
 from .exact import _hensel_lift, _primes_from, integer_roots_monic_cubic
 
@@ -136,12 +136,9 @@ def torsion_structure(c: Curve) -> TorsionReport:
 
 
 def has_point_of_order(c: Curve, n: int) -> bool:
-    """True when some rational torsion point has exact order ``n`` (1 <= n <= 12)."""
+    """True when some rational torsion point has exact order ``n`` (1 <= n <= 12):
+    a finite abelian group has an element of order n exactly when n divides
+    its exponent."""
     if not 1 <= n <= MAZUR_ORDER_CAP:
         raise ValueError("order must be between 1 and 12")
-    if n == 1:
-        return True
-    for P in torsion_points(c):
-        if P is not INFINITY and point_order(c, P, cap=MAZUR_ORDER_CAP) == n:
-            return True
-    return False
+    return torsion_structure(c).exponent % n == 0

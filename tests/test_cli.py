@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,12 @@ class TestGenerateCommand:
         assert (rec.curve.A, rec.curve.B) == (-43, 166)
 
 
+def _failing_cell(cell):
+    """Stands in for ``cli._scan_cell``; module-level so that pool workers
+    can unpickle it."""
+    raise RuntimeError("first cell")
+
+
 class TestScanCommand:
     GRID = ["--pmin", "-2", "--pmax", "2", "--qmin", "-2", "--qmax", "2"]
 
@@ -138,6 +145,20 @@ class TestScanCommand:
         grid = ["--pmin", big, "--pmax", "1", "--qmin", "-" + big, "--qmax", "1"]
         assert cli.main(["scan", "5", *grid]) == 0
         assert capsys.readouterr().err.startswith("scanned=0 emitted=0 ")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_is_walked_lazily(self, monkeypatch, workers):
+        # 361201 cells: held as a list before the first cell, they took
+        # tens of megabytes
+        monkeypatch.setattr(cli, "_scan_cell", _failing_cell)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first cell"):
+                cli.main(["scan", "5", "--search-bound", "300", "--workers", workers])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
     def test_csv_output(self):
         r = run("scan", "5", "--pmin", "1", "--pmax", "1", "--qmin", "1", "--qmax", "2", "--csv")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
@@ -302,6 +303,69 @@ class TestDetect:
         assert trace.discrepancy is not None
         assert trace.scale == 2
         assert has_point_of_order(c2, 7)
+
+
+def _valuation(x: int, ell: int) -> int:
+    e = 0
+    while x % ell == 0:
+        x, e = x // ell, e + 1
+    return e
+
+
+def _coprime_local_solution(fam, ell: int, e: int) -> bool:
+    """Whether some coprime (p, q) has ell**(4e) | 27 U(p, q) and
+    ell**(6e) | 54 V(p, q), by a tree search over the residues mod ell**t of
+    x = p/q (q a unit mod ell) and of x = q/(ell p) (p a unit)."""
+    tU, tV = max(4 * e - _valuation(27, ell), 0), max(6 * e - _valuation(54, ell), 0)
+    for chart in (lambda x: (x, 1), lambda x: (1, ell * x)):
+        level = [0]
+        for t in range(1, max(tU, tV) + 1):
+            mU, mV = ell ** min(t, tU), ell ** min(t, tV)
+            level = [x for r in level for x in range(r, ell**t, ell ** (t - 1))
+                     if fam.U(*chart(x)) % mU == 0 and fam.V(*chart(x)) % mV == 0]
+        if level:
+            return True
+    return False
+
+
+class TestDetectProofs:
+    """Why detect's root search needs no filter and its witness conversion
+    always finds a branch; a table change that breaks one of these turns
+    the suite red before it reaches detect."""
+
+    def test_matching_polynomial_is_nonzero_at_zero(self):
+        # with numA(0) = -27 and numB(0) = 54, M(0) = -136048896 b and b > 0:
+        # M is never the zero polynomial and alpha = 0, the pole of A_8 and
+        # B_8, is never a root (the Tate numerators have no rational root at
+        # all: test_families.py::test_tate_coefficients_have_no_rational_roots)
+        for fam in FAMILIES.values():
+            assert (fam.tate_A_num(0), fam.tate_B_num(0)) == (-27, 54)
+        a, b = sympy.symbols("a b")
+        M0 = 4 * (1728 * b - a) * (-27) ** 3 - 27 * a * 54**2
+        assert sympy.expand(M0 + 136048896 * b) == 0
+
+    def test_branch_denominators_by_resultant(self):
+        # detect's k_raw = m/b (lowest terms) gives the integers
+        # A = -27 k_raw^4 U(p0, q0) and B = +-54 k_raw^6 V(p0, q0) with
+        # gcd(p0, q0) = 1, so b^4 | 27 U and b^6 | 54 V.  A prime ell != 2, 3
+        # dividing b divides U and V, hence their resultant; each prime of
+        # 6 Res(U, V) bounds its power in b locally.
+        x = sympy.symbols("x")
+        for n, fam in FAMILIES.items():
+            U = sympy.Poly(fam.U.coeffs[::-1], x)
+            V = sympy.Poly(fam.V.coeffs[::-1], x)
+            # at full degree the resultant is that of the binary forms
+            assert (U.degree(), V.degree()) == (fam.U.degree, fam.V.degree)
+            res = abs(int(sympy.resultant(U, V)))
+            assert res != 0
+            primes = set(sympy.factorint(res)) | {2, 3}
+            dens = {1}
+            for ell in primes:
+                e = 0
+                while _coprime_local_solution(fam, ell, e + 1):
+                    e += 1
+                dens = {d * ell**i for d in dens for i in range(e + 1)}
+            assert dens == {k.denominator for k in fam.kset}, n
 
 
 class TestPositivePath:

@@ -15,6 +15,7 @@ from torsionforms import (
     Point,
     SideConditionError,
     SingularCurveError,
+    TATE_ORDERS,
     Witness,
     add,
     eval_AB,
@@ -22,6 +23,7 @@ from torsionforms import (
     has_point_of_order,
     neg,
     point_order,
+    tate_short_curve,
     torsion_points,
     torsion_structure,
     twist_scale,
@@ -149,6 +151,16 @@ class TestHasPointOfOrder:
     def test_range_checked(self):
         with pytest.raises(ValueError):
             has_point_of_order(Curve(1, 0), 13)
+
+    def test_exponent_matches_point_orders(self):
+        # has_point_of_order reads the exponent; the point-by-point answer
+        # must agree on every order 1..12
+        curves = [tate_short_curve(n, alpha)[0] for n in TATE_ORDERS for alpha in (2, 3)]
+        curves += [Curve(-1, 0), Curve(0, 1), Curve(1, 0), Curve(-43, 166)]
+        for c in curves:
+            orders = {point_order(c, P, cap=12) for P in torsion_points(c)}
+            for m in range(1, 13):
+                assert has_point_of_order(c, m) == (m in orders), (c, m)
 
     def test_generated_corpus_agreement(self):
         # every generated witness curve carries its advertised order
