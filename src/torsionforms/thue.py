@@ -59,8 +59,9 @@ class DetectionTrace:
     converted to a family witness.
 
     ``u2`` is the branch denominator ``witness.k.denominator`` (the part of
-    the twist that cannot be absorbed into integers; always in {1, 2, 3}) and
-    ``scale`` the residual integer multiplier: the curve satisfies
+    the twist that cannot be absorbed into integers; always in {1, 2, 3}),
+    read off the witness, and ``scale`` the residual integer multiplier: the
+    curve satisfies
     6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q)
     (``detect`` checks it on the root's model, points included).
     ``discrepancy`` is set when the plain integral system (scale absorbed into
@@ -69,10 +70,13 @@ class DetectionTrace:
 
     alpha: Fraction
     u: Fraction
-    u2: int
     witness: Witness
     scale: int
     discrepancy: Optional[str] = None
+
+    @property
+    def u2(self) -> int:
+        return self.witness.k.denominator
 
 
 def eval_AB(w: Witness) -> tuple[Fraction, Fraction]:
@@ -300,7 +304,7 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
         if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
             raise FamilyDataError("witness points do not map onto the curve's 6-twist")
         trace = DetectionTrace(
-            alpha=alpha, u=u, u2=k.denominator, witness=witness, scale=scale, discrepancy=note
+            alpha=alpha, u=u, witness=witness, scale=scale, discrepancy=note
         )
         if trace.discrepancy is None:
             return trace

@@ -79,13 +79,16 @@ def _division_value(N: int, A: int, B: int, x: int, m: int) -> int:
 
 
 def _division_roots(N: int, A: int, B: int, disc: int) -> list[int]:
-    """Every integer x with |x| < 1 + |A| + |B| + |disc| and g_N(x) = 0, and
-    other integers besides: each root of g_N mod the first odd prime p not
-    dividing N * disc, a simple root there, is Newton-lifted by
-    ``exact._hensel_lift`` until the modulus exceeds twice that bound, and its
-    symmetric residue is returned."""
+    """Every integer x with |x| <= X and g_N(x) = 0, and other integers
+    besides, where X = max(isqrt(2|A|), 2**ceil(b/3)) + 1 and b is the bit
+    length of 2(|D| + |B|), D = 4A**3 + 27B**2 = -disc/16; 2**ceil(b/3) bounds
+    the cube root of 2(|D| + |B|).  Each root of g_N mod the first odd prime p
+    not dividing N * disc, a simple root there, is Newton-lifted by
+    ``exact._hensel_lift`` until the modulus exceeds 2X, and its symmetric
+    residue is returned."""
     p = next(q for q in _primes_from(3) if N * disc % q)
-    bound = 2 * (1 + abs(A) + abs(B) + abs(disc))
+    cube = 2 * (abs(disc) // 16 + abs(B))
+    bound = 2 * (max(math.isqrt(2 * abs(A)), 1 << -(-cube.bit_length() // 3)) + 1)
     value = partial(_division_value, N, A, B)
     lifts = []
     for x in range(p):
@@ -109,7 +112,8 @@ def torsion_points(c: Curve) -> frozenset:
     if N % 2 == 0:
         points |= {Point(x, 0) for x in integer_roots_monic_cubic(A, B)}
     if N > 2:
-        # Nagell-Lutz: y**2 | 4A**3 + 27B**2, so |x| < 1 + |A| + |B| + |disc|
+        # Nagell-Lutz: y = 0 or y**2 | D = 4A**3 + 27B**2.  So |x| <= X: either
+        # x**2 < 2|A|, or |x|**3 / 2 <= |x**3 + Ax| = |y**2 - B| <= |D| + |B|
         for x in _division_roots(N, A, B, disc):
             rhs = x**3 + A * x + B
             y = math.isqrt(rhs) if rhs > 0 else 0

@@ -102,6 +102,14 @@ class TestGenerateCommand:
         assert (rec.n, rec.p, rec.q) == (5, decimal_to_int(p), 1)
         assert rec.group_label == "Z/5Z"
 
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_big_witness_revalidates(self, n, capsys):
+        p = "7" * 400
+        assert cli.main(["generate", str(n), p, "1"]) == 0
+        rec = CurveRecord.from_json_line(capsys.readouterr().out)  # validates on load
+        assert (rec.n, rec.p, rec.q) == (n, decimal_to_int(p), 1)
+        assert rec.group_label == f"Z/{n}Z"
+
     def test_branch_flag(self):
         r = run("generate", "7", "2", "1", "--k", "1/3")
         rec = CurveRecord.from_json_line(r.stdout.strip())

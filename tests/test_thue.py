@@ -187,6 +187,12 @@ class TestDetect:
             assert trace.scale**4 * F_val == 1296 * A
             assert trace.scale**6 * G_val == 46656 * B
 
+    def test_u2_is_read_off_the_witness(self):
+        w = Witness(7, 2, 1, F(1, 3))
+        assert thue.DetectionTrace(alpha=F(2), u=F(3), witness=w, scale=1).u2 == 3
+        with pytest.raises(TypeError):
+            thue.DetectionTrace(alpha=F(2), u=F(3), u2=1, witness=w, scale=1)
+
     def test_absence(self):
         assert detect(Curve(-43, 166), 5) is None
         assert detect(Curve(-43, 166), 8) is None
@@ -590,8 +596,10 @@ def fraction_detect(c: Curve, n: int):
         witness, scale, u2, note = fraction_witness_from_alpha_u(n, alpha, u)
         if witness is not None:
             validate_trace(c, witness, scale)
+            # DetectionTrace reads u2 off the witness
+            assert u2 == witness.k.denominator
         trace = thue.DetectionTrace(
-            alpha=alpha, u=u, u2=u2, witness=witness, scale=scale, discrepancy=note
+            alpha=alpha, u=u, witness=witness, scale=scale, discrepancy=note
         )
         if note is None:
             return trace

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
@@ -225,3 +227,70 @@ class TestResidueSieve:
         squares = len(divisors({p: e // 2 for p, e in primes.items() if e >= 2}))
         assert squares > 30000
         assert len(calls) <= squares // 100
+
+
+def nagell_lutz_x_bound(c: Curve) -> int:
+    """X = max(isqrt(2|A|), ceil(cbrt(2(|D| + |B|)))) + 1, D = 4A**3 + 27B**2,
+    with the cube root exact: a torsion point has y = 0 or y**2 | D, so
+    either x**2 < 2|A| or |x|**3 / 2 <= |x**3 + Ax| = |y**2 - B| <= |D| + |B|."""
+    root, exact_cube = sympy.integer_nthroot(2 * (abs(4 * c.A**3 + 27 * c.B**2) + abs(c.B)), 3)
+    return max(math.isqrt(2 * abs(c.A)), root + (not exact_cube)) + 1
+
+
+class TestNagellLutzBound:
+    """Every torsion point has |x| <= X, and the oracle lifts the roots of
+    g_N past 2X, so its symmetric residues recover every such x."""
+
+    SETTINGS = TestResidueSieve.SETTINGS
+
+    @staticmethod
+    def lift_bounds(run) -> list[int]:
+        """The bounds that ``run()`` passes to the oracle's Newton lift."""
+        bounds = []
+
+        def recording(f, x, m, bound):
+            bounds.append(bound)
+            return exact._hensel_lift(f, x, m, bound)
+
+        with mock.patch.object(torsion, "_hensel_lift", recording):
+            run()
+        return bounds
+
+    def assert_bounded(self, c: Curve):
+        torsion_points.cache_clear()
+        lift_bounds = self.lift_bounds(lambda: torsion_points(c))
+        X = nagell_lutz_x_bound(c)
+        assert all(abs(P.x) <= X for P in torsion_points(c) if P is not INFINITY)
+        assert all(bound >= 2 * X for bound in lift_bounds)
+
+    @settings(max_examples=200, **SETTINGS)
+    @given(A=st.integers(-10**4, 10**4), B=st.integers(-10**4, 10**4))
+    def test_random_curves(self, A, B):
+        try:
+            c = Curve(A, B)
+        except SingularCurveError:
+            reject()
+        self.assert_bounded(c)
+
+    @settings(max_examples=120, **SETTINGS)
+    @given(n=st.sampled_from(FAMILY_ORDERS), p=st.integers(-6, 6), q=st.integers(-6, 6),
+           branch=st.integers(0, 2), u=st.integers(1, 6))
+    def test_twists_of_generated_curves(self, n, p, q, branch, u):
+        kset = FAMILIES[n].kset
+        try:
+            rec = generate_curve(Witness(n, p, q, kset[branch % len(kset)]))
+        except (SideConditionError, DegenerateParameterError):
+            reject()
+        self.assert_bounded(twist_scale(rec.curve, u))
+
+    def test_lift_covers_the_square_root_term(self):
+        # A = -3s, B = 2r with s**3 - r**2 = 1641843 (Elkies' Hall near-miss):
+        # D = -108 * 1641843 is so small that isqrt(2|A|) exceeds the cube
+        # root term, even rounded up to a power of two
+        s, r = 5853886516781223, 447884928428402042307918
+        c = Curve(-3 * s, 2 * r)
+        X = nagell_lutz_x_bound(c)
+        assert X == math.isqrt(6 * s) + 1
+        lift_bounds = self.lift_bounds(
+            lambda: [torsion._division_roots(N, c.A, c.B, c.disc) for N in (3, 5, 7)])
+        assert lift_bounds and all(bound >= 2 * X for bound in lift_bounds)
