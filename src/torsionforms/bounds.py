@@ -91,31 +91,21 @@ def evertse_bound(r: int, t: int) -> int:
     return 7 ** (15 * (c + 1) ** 2) + 6 * 7 ** (2 * c * (t + 1))
 
 
-_MAZUR_EXPONENTS = {  # n-class -> (first exponent, per-(t+1) exponent)
-    "even": (60, 2),
-    "three": (375, 8),
-    "five": (1815, 20),
-    "seven": (19440, 70),
+_MAZUR_EXPONENTS = {  # n -> (first exponent, per-(t+1) exponent)
+    **dict.fromkeys((2, 4, 6, 8, 10, 12), (60, 2)),
+    **dict.fromkeys((3, 9), (375, 8)),
+    5: (1815, 20),
+    7: (19440, 70),
 }
-
-
-def _bound_class(n: int) -> str:
-    if n in (2, 4, 6, 8, 10, 12):
-        return "even"
-    if n in (3, 9):
-        return "three"
-    if n == 5:
-        return "five"
-    if n == 7:
-        return "seven"
-    raise ValueError(f"n = {n} is not one of the possible torsion orders")
 
 
 def mazur_count_bound(n: int, t: int) -> CountBound:
     """The printed closed forms: M_2 for even n, M_3 = M_9, M_5, and M_7."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    a, b = _MAZUR_EXPONENTS[_bound_class(n)]
+    if n not in _MAZUR_EXPONENTS:
+        raise ValueError(f"n = {n} is not one of the possible torsion orders")
+    a, b = _MAZUR_EXPONENTS[n]
     return CountBound(n=n, t=t, value=7**a + 6 * 7 ** (b * (t + 1)))
 
 

@@ -18,6 +18,7 @@ from .curves import Curve
 from .errors import DegenerateParameterError, SideConditionError
 from .exact import decimal_to_int, int_to_decimal, rational_to_decimal
 from .families import FAMILIES, FAMILY_ORDERS
+from .records import CurveRecord
 from .tate import interpolated_pipeline_poly
 from .thue import Witness, detect, generate_curve, param_cross_check
 from .torsion import has_point_of_order
@@ -187,7 +188,7 @@ def cmd_scan(args) -> int:
 
 def _write_scan(results, out, csv: bool, stats: dict) -> None:
     if csv:
-        out.write("n,p,q,k,A,B,group\n")
+        out.write(CurveRecord.CSV_HEADER + "\n")
     for kind, line in results:
         stats[kind] += 1
         if kind == "record":

@@ -2,9 +2,10 @@
 
 Integers are plain ``int`` (unbounded), rationals are ``fractions.Fraction``
 (always reduced, positive denominator).  On top of those this module provides
-dense univariate integer polynomials, homogeneous bivariate forms, exact
-rational roots by p-adic (Newton-Hensel) lifting, with no factorization and no
-search bound, trial-division factorization, and exact n-th roots.
+dense univariate integer polynomials and homogeneous bivariate forms, which
+share one coefficient arithmetic (evaluation, products, powers, equality),
+exact rational roots by p-adic (Newton-Hensel) lifting, with no factorization
+and no search bound, trial-division factorization, and exact n-th roots.
 """
 
 from __future__ import annotations
@@ -15,10 +16,60 @@ from functools import partial
 from typing import Iterable, Optional
 
 
-class IntPoly:
-    """Dense univariate integer polynomial; ``coeffs[i]`` multiplies x**i."""
+class _Coeffs:
+    """Immutable integer coefficients and the arithmetic IntPoly and HomForm
+    share; each subclass builds its results in ``_like(degree, coeffs)``."""
 
     __slots__ = ("coeffs",)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero IntPoly."""
+        return len(self.coeffs) - 1
+
+    def eval_pair(self, r: int, s: int) -> int:
+        """f(r/s) * s**degree for an IntPoly (s != 0); F(r, s) for a HomForm."""
+        acc = 0
+        sp = 1
+        for c in reversed(self.coeffs):
+            acc = acc * r + c * sp
+            sp *= s
+        return acc
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._like(self.degree, (other * c for c in self.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return self._like(len(out) - 1, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative polynomial power")
+        result = self._like(0, (1,))
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.coeffs))
+
+
+class IntPoly(_Coeffs):
+    """Dense univariate integer polynomial; ``coeffs[i]`` multiplies x**i."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int]):
         cs = [int(c) for c in coeffs]
@@ -26,31 +77,14 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("IntPoly is immutable")
+    def _like(self, degree: int, coeffs: Iterable[int]) -> "IntPoly":
+        return IntPoly(coeffs)  # the trimming finds the degree
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_pair(self, r: int, s: int) -> int:
-        """f(r/s) * s**degree as an exact integer (s != 0)."""
-        acc = 0
-        sp = 1
-        for c in reversed(self.coeffs):
-            acc = acc * r + c * sp
-            sp *= s
-        return acc
+        return self.eval_pair(x, 1)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -66,28 +100,6 @@ class IntPoly:
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
-
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(other * c for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPoly((1,))
-        for _ in range(k):
-            result = result * self
-        return result
 
     def content(self) -> int:
         g = 0
@@ -113,70 +125,29 @@ class IntPoly:
     def strip_x_power(self, v: int) -> "IntPoly":
         return IntPoly(self.coeffs[v:])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 
 
-class HomForm:
+class HomForm(_Coeffs):
     """Homogeneous bivariate integer form; ``coeffs[i]`` multiplies p**i * q**(degree-i)."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: Iterable[int]):
         cs = tuple(int(c) for c in coeffs)
         if len(cs) != degree + 1:
             raise ValueError(f"degree-{degree} form needs {degree + 1} coefficients, got {len(cs)}")
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cs)
 
-    def __setattr__(self, *a):
-        raise AttributeError("HomForm is immutable")
+    def _like(self, degree: int, coeffs: Iterable[int]) -> "HomForm":
+        return HomForm(degree, coeffs)
 
-    def __call__(self, p, q):
-        acc = 0
-        sp = 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c * sp
-            sp *= q
-        return acc
-
-    def __mul__(self, other) -> "HomForm":
-        if isinstance(other, int):
-            return HomForm(self.degree, (other * c for c in self.coeffs))
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return HomForm(self.degree + other.degree, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "HomForm":
-        result = HomForm(0, (1,))
-        for _ in range(k):
-            result = result * self
-        return result
+    __call__ = _Coeffs.eval_pair
 
     def dehomogenize(self, sigma: int = 1) -> IntPoly:
         """The univariate polynomial F(sigma*x, 1), coefficients ascending."""
         return IntPoly(c * sigma**i for i, c in enumerate(self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("HomForm", self.degree, self.coeffs))
 
     def __repr__(self) -> str:
         return f"HomForm({self.degree}, {list(self.coeffs)})"

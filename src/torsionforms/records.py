@@ -58,6 +58,9 @@ class CurveRecord:
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
+    #: the header line of the flat CSV summary whose rows ``to_csv_row`` writes
+    CSV_HEADER = "n,p,q,k,A,B,group"
+
     def to_csv_row(self) -> str:
         return ",".join(
             [int_to_decimal(self.n), int_to_decimal(self.p), int_to_decimal(self.q),

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 import sympy
@@ -70,6 +71,84 @@ class TestHomForm:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             HomForm(2, (1, 2))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            HomForm(1, (1, 1)) ** -1
+
+    def test_immutable_degree_is_read_off_the_coefficients(self):
+        f = HomForm(3, (0, 0, 0, 0))
+        assert f.degree == 3
+        with pytest.raises(AttributeError):
+            f.degree = 2
+        with pytest.raises(AttributeError):
+            f.coeffs = (1,)
+
+
+def monomials(f) -> dict:
+    """f as {(i, j): c}, the nonzero terms c * p**i * q**j; an IntPoly is
+    homogenized at its degree, so x**i is p**i * q**(degree - i)."""
+    return {(i, f.degree - i): c for i, c in enumerate(f.coeffs) if c}
+
+
+def naive_product(*fs) -> dict:
+    """The monomials of the product of ``fs``, one pair of terms at a time."""
+    out = {(0, 0): 1}
+    for f in fs:
+        terms = {}
+        for (i, j), c in out.items():
+            for (k, l), d in monomials(f).items():
+                terms[i + k, j + l] = terms.get((i + k, j + l), 0) + c * d
+        out = {m: c for m, c in terms.items() if c}
+    return out
+
+
+def naive_value(f, r: int, s: int) -> int:
+    return sum(c * r**i * s**j for (i, j), c in monomials(f).items())
+
+
+_COEFF = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+_INT_POLYS = st.lists(_COEFF, max_size=6).map(IntPoly)
+_HOM_FORMS = st.integers(0, 5).flatmap(
+    lambda d: st.lists(_COEFF, min_size=d + 1, max_size=d + 1).map(partial(HomForm, d)))
+
+
+class TestCoefficientArithmetic:
+    """IntPoly and HomForm share one evaluation, product and power; each is
+    checked against sums over the monomials of the operands."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(pair=st.sampled_from((_INT_POLYS, _HOM_FORMS)).flatmap(lambda s: st.tuples(s, s)),
+           k=st.integers(-50, 50), e=st.integers(0, 4),
+           r=st.integers(-(10**4), 10**4), s=st.integers(-(10**4), 10**4))
+    @example(pair=(HomForm(1, (1, 0)), HomForm(1, (0, 1))), k=3, e=3, r=5, s=-7)  # q and p
+    @example(pair=(HomForm(2, (0, 1, 0)), HomForm(0, (0,))), k=0, e=2, r=2, s=3)
+    @example(pair=(IntPoly(()), IntPoly((0, 0, 5))), k=7, e=0, r=2, s=3)
+    @example(pair=(IntPoly((0, 1)), IntPoly(())), k=-1, e=4, r=-3, s=2)
+    def test_matches_monomial_sums(self, pair, k, e, r, s):
+        f, g = pair
+        for h in pair:
+            assert h.eval_pair(r, s) == naive_value(h, r, s)
+        if isinstance(f, HomForm):
+            assert f(r, s) == naive_value(f, r, s)
+        else:
+            assert f(r) == naive_value(f, r, 1)
+        for scaled in (k * f, f * k):
+            assert type(scaled) is type(f)
+            assert monomials(scaled) == {m: k * c for m, c in monomials(f).items() if k * c}
+        fg, fe = f * g, f**e
+        assert type(fg) is type(fe) is type(f)
+        assert monomials(fg) == naive_product(f, g)
+        assert monomials(fe) == naive_product(*[f] * e)
+        if isinstance(f, HomForm):  # zero coefficients are kept: the degree adds up
+            assert ((k * f).degree, fg.degree, fe.degree) == (
+                f.degree, f.degree + g.degree, e * f.degree)
+        rebuilt = HomForm(fg.degree, fg.coeffs) if isinstance(f, HomForm) else IntPoly(fg.coeffs)
+        assert rebuilt == fg and hash(rebuilt) == hash(fg)
+
+    def test_classes_never_equal(self):
+        assert IntPoly((1, 2)) != HomForm(1, (1, 2))
+        assert IntPoly((1,)) != HomForm(0, (1,))
 
 
 class TestRationalRoots:
