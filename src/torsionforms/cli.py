@@ -38,6 +38,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # a second "--" in place of a positional hands it an empty list,
+        # which no type= conversion sees
+        for name, value in vars(parsed).items():
+            if value == []:
+                self.error(f"argument {name}: expected one argument, got '--'")
+        return parsed
+
 
 def _branches(n: int, selector: str) -> tuple[Fraction, ...]:
     fam = FAMILIES[n]

@@ -5,7 +5,8 @@ Integers are plain ``int`` (unbounded), rationals are ``fractions.Fraction``
 dense univariate integer polynomials and homogeneous bivariate forms, which
 share one coefficient arithmetic (evaluation, products, powers, equality),
 exact rational roots by p-adic (Newton-Hensel) lifting, with no factorization
-and no search bound, trial-division factorization, and exact n-th roots.
+and no search bound, trial-division factorization by blocks of primes, and
+exact n-th roots.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from typing import Iterable, Optional
 
 
@@ -196,14 +198,30 @@ def decimal_to_int(s: str) -> int:
 # ---------------------------------------------------------------------------
 # factorization
 
-def _trial_candidates(limit: int):
-    yield 2
-    yield 3
-    d, step = 5, 2
-    while d <= limit:
-        yield d
-        d += step
-        step = 6 - step
+# Trial division runs over blocks of _BLOCK consecutive primes: one gcd with
+# the block's product, and divisions only inside a block whose gcd is not 1.
+# The primes below _sieve[0] and the block products are sieved on the first
+# call that needs them, never at import, and sieved afresh when a call needs
+# more.
+_BLOCK = 512
+_sieve: tuple[int, list[int], list[int]] = (0, [], [])
+
+
+def _prime_blocks(need: int) -> tuple[list[int], list[int]]:
+    """The primes below a bound above ``need``, ascending, and the product of
+    each block of _BLOCK of them."""
+    global _sieve
+    if _sieve[0] <= need:
+        bound = max(need + 1, 2 * _sieve[0], 1 << 12)
+        flags = bytearray([1]) * bound
+        flags[:2] = b"\0\0"
+        for i in range(2, math.isqrt(bound - 1) + 1):
+            if flags[i]:
+                flags[i * i::i] = bytes(len(range(i * i, bound, i)))
+        primes = list(compress(range(bound), flags))
+        _sieve = (bound, primes, [math.prod(primes[i:i + _BLOCK])
+                                  for i in range(0, len(primes), _BLOCK)])
+    return _sieve[1], _sieve[2]
 
 
 # No composite below this bound is a strong probable prime to all of the
@@ -230,7 +248,10 @@ def _is_sprp(n: int, a: int) -> bool:
 
 
 def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
-    """Trial-division factorization of ``m``.
+    """Trial-division factorization of ``m``: by the primes up to
+    ``trial_limit`` (and 2 and 3), while their squares do not exceed what is
+    left, taken in blocks of _BLOCK primes; a block is divided through only
+    when its product has a common factor with what is left.
 
     Returns ``(primes, cofactor)`` with ``primes`` a prime -> exponent table
     and ``cofactor >= 1`` the unfactored part (1 when complete).
@@ -246,15 +267,25 @@ def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
         raise ValueError("trial_limit must be at least 2")
     n = abs(m)
     primes: dict[int, int] = {}
-    for d in _trial_candidates(trial_limit):
-        if d * d > n:
+    top = max(trial_limit, 3)  # 2 and 3 are always tried
+    table, products = _prime_blocks(min(top, math.isqrt(n)))
+    for lo in range(0, len(table), _BLOCK):
+        if table[lo] > top or table[lo] ** 2 > n:
             break
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            primes[d] = e
+        block, product = table[lo:lo + _BLOCK], products[lo // _BLOCK]
+        if block[-1] > top:
+            block = [d for d in block if d <= top]
+            product = math.prod(block)
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for d in block:
+            if g % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                primes[d] = e
     if n > 1 and (math.isqrt(n) <= trial_limit or (
             n < _SPRP_BOUND and all(_is_sprp(n, a) for a in _SPRP_BASES if a < n))):
         primes[n] = 1
@@ -370,7 +401,8 @@ def _squarefree_part(f: IntPoly) -> IntPoly:
     return _pseudo_divmod(f, a)[0].primitive_part()
 
 
-def rational_roots(poly: IntPoly) -> set[Fraction]:
+def rational_roots(poly: IntPoly, symmetry: Optional[tuple[int, int, int, int]] = None
+                   ) -> set[Fraction]:
     """Exactly the rational roots of ``poly`` (not identically zero).
 
     The content and the power of x are stripped.  At the first prime p >= 5
@@ -381,6 +413,14 @@ def rational_roots(poly: IntPoly) -> set[Fraction]:
     is the only rational root in that class mod p; it is kept only when exact
     evaluation gives 0.  The squarefree part is taken only after a few primes
     have failed, after which almost every prime succeeds.
+
+    ``symmetry`` = (a, b, c, d), when given, is a Moebius map
+    phi(x) = (a x + b)/(c x + d) that is expected to permute the roots.  Once
+    a root r is proved, phi is applied until the orbit closes, phi hits a
+    pole, or an image is not a root; each image s proved a root by exact
+    evaluation is kept, and its residue class mod p is not lifted: as every
+    root mod p is simple, that class holds no other rational root.  The
+    answer never depends on phi; a wrong map costs only the evaluations.
     """
     if poly.is_zero():
         raise ValueError("root set of the zero polynomial is undefined")
@@ -404,14 +444,34 @@ def rational_roots(poly: IntPoly) -> set[Fraction]:
             continue
         bound = 2 * (abs(lead) + max(abs(c) for c in f.coeffs))
         value = partial(_eval_mod, f.coeffs)
+        found: set[int] = set()  # residue classes mod p of the proved roots
         for x in residues:
+            if x in found:
+                continue
             x, m = _hensel_lift(value, x, p, bound)
             num = lead * x % m
             if num > m // 2:
                 num -= m
             r = Fraction(num, lead)
-            if f.eval_pair(r.numerator, r.denominator) == 0:
-                roots.add(r)
+            if f.eval_pair(r.numerator, r.denominator) != 0:
+                continue
+            roots.add(r)
+            if symmetry is None:
+                continue
+            a, b, c, d = symmetry
+            rn, rd = r.numerator, r.denominator
+            while True:
+                # the image of rn/rd; its denominator is prime to p, like
+                # that of every root, whenever it is a root
+                sn, sd = a * rn + b * rd, c * rn + d * rd
+                if sd == 0:
+                    break
+                s = Fraction(sn, sd)
+                if s in roots or f.eval_pair(s.numerator, s.denominator) != 0:
+                    break
+                roots.add(s)
+                rn, rd = s.numerator, s.denominator
+                found.add(rn * pow(rd, -1, p) % p)
         return roots
 
 

@@ -48,6 +48,11 @@ class ThueFamily:
     tate_A_denpow: int
     tate_B_num: IntPoly
     tate_B_denpow: int
+    # the Moebius map alpha -> (a*alpha + b)/(c*alpha + d), as (a, b, c, d), of
+    # a diamond automorphism of X_1(n): it keeps the curve (and j) and moves
+    # the marked point P to a multiple dP, so it permutes the roots of detect's
+    # matching polynomial (Kubert, Proc. LMS 33, 1976)
+    symmetry: tuple[int, int, int, int]
     degrees: tuple[int, int, int, int]  # (deg F, deg G, deg x, deg y)
     nonzero_pq: bool
     p_ne_q: bool
@@ -92,6 +97,7 @@ def _family_5() -> ThueFamily:
         n=5, kset=(Fraction(1),), sigma=-1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
         tate_A_num=A_num, tate_A_denpow=0, tate_B_num=B_num, tate_B_denpow=0,
+        symmetry=(0, -1, 1, 0),  # alpha -> -1/alpha, of order 2
         degrees=(4, 6, 2, 3), nonzero_pq=True, p_ne_q=False, two_p_ne_q=False,
     )
 
@@ -117,6 +123,7 @@ def _family_7() -> ThueFamily:
         n=7, kset=(Fraction(1), Fraction(1, 3)), sigma=1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
         tate_A_num=A_num, tate_A_denpow=0, tate_B_num=B_num, tate_B_denpow=0,
+        symmetry=(1, -1, 1, 0),  # alpha -> 1 - 1/alpha, of order 3
         degrees=(8, 12, 4, 6), nonzero_pq=True, p_ne_q=True, two_p_ne_q=False,
     )
 
@@ -142,6 +149,7 @@ def _family_8() -> ThueFamily:
         n=8, kset=(Fraction(1), Fraction(1, 2)), sigma=1, b_sign=-1,
         U=U, V=V, point_x=X, point_y=Y,
         tate_A_num=A_num, tate_A_denpow=4, tate_B_num=B_num, tate_B_denpow=6,
+        symmetry=(-1, 1, 0, 1),  # alpha -> 1 - alpha, of order 2
         degrees=(8, 12, 4, 6), nonzero_pq=False, p_ne_q=True, two_p_ne_q=True,
     )
 
@@ -174,6 +182,7 @@ def _family_9() -> ThueFamily:
         n=9, kset=(Fraction(1), Fraction(1, 3)), sigma=1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
         tate_A_num=A_num, tate_A_denpow=0, tate_B_num=B_num, tate_B_denpow=0,
+        symmetry=(1, -1, 1, 0),  # alpha -> 1 - 1/alpha, of order 3
         degrees=(12, 18, 6, 9), nonzero_pq=True, p_ne_q=True, two_p_ne_q=False,
     )
 

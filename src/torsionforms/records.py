@@ -26,6 +26,12 @@ def _decimal_to_rational(s: str) -> Fraction:
     return Fraction(*parts)
 
 
+def _text(s: str) -> str:
+    if not isinstance(s, str):
+        raise TypeError("not a string")
+    return s
+
+
 @dataclass(frozen=True)
 class CurveRecord:
     n: int
@@ -70,18 +76,33 @@ class CurveRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveRecord":
+        """The record of ``d``, re-validated; a missing or ill-typed field
+        raises a ``ValueError`` that names it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a curve record is a JSON object, not {type(d).__name__}")
+
+        def field(name: str, parse=decimal_to_int):
+            if name not in d:
+                raise ValueError(f"record field {name!r} is missing")
+            try:
+                return parse(d[name])
+            except (TypeError, AttributeError):  # a JSON value of the wrong kind
+                raise ValueError(f"record field {name!r} has the wrong type") from None
+            except ValueError as exc:
+                raise ValueError(f"record field {name!r}: {exc}") from None
+
         rec = cls(
-            n=decimal_to_int(d["n"]),
-            p=decimal_to_int(d["p"]),
-            q=decimal_to_int(d["q"]),
-            k=_decimal_to_rational(d["k"]),
-            curve=Curve(decimal_to_int(d["A"]), decimal_to_int(d["B"])),
-            delta=decimal_to_int(d["delta"]),
-            points=tuple(Point(_decimal_to_rational(x), _decimal_to_rational(y))
-                         for x, y in d["points"]),
-            group_label=d["group_label"],
-            provenance=d["provenance"],
-            form=d["form"],
+            n=field("n"),
+            p=field("p"),
+            q=field("q"),
+            k=field("k", _decimal_to_rational),
+            curve=Curve(field("A"), field("B")),
+            delta=field("delta"),
+            points=field("points", lambda pts: tuple(
+                Point(_decimal_to_rational(x), _decimal_to_rational(y)) for x, y in pts)),
+            group_label=field("group_label", _text),
+            provenance=field("provenance", _text),
+            form=field("form", _text),
         )
         rec.validate()
         return rec

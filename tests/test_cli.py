@@ -230,6 +230,21 @@ class TestBoundCommand:
         assert r.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "8", "--", "--", "7"],
+    ["generate", "--", "8", "--", "7"],
+    ["bound", "5", "--", "--"],
+])
+def test_second_double_dash_is_a_usage_error(argv, capsys):
+    # argparse hands the positional in place of the second "--" an empty
+    # list, which no type= conversion sees
+    assert cli.main(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument ")
+    assert captured.err.count("\n") == 1
+
+
 def test_closed_stdout_exits_quietly():
     # the reader takes one line and closes the pipe, as `scan ... | head -1` does
     proc = subprocess.Popen(

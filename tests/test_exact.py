@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import partial
 
@@ -286,6 +288,102 @@ class TestRationalRootsDifferential:
         assert rational_roots(f) == sympy_rational_roots(f)
 
 
+def _moebius(symmetry, x: F):
+    """phi(x), or None at a pole of phi."""
+    a, b, c, d = symmetry
+    return None if c * x + d == 0 else (a * x + b) / (c * x + d)
+
+
+SYMMETRIES = tuple(fam.symmetry for fam in FAMILIES.values())
+MOEBIUS = st.tuples(*[st.integers(-3, 3)] * 4)
+
+
+@st.composite
+def orbit_polynomials(draw):
+    """A polynomial with planted rational roots and the map of their orbits:
+    each planted orbit under ``true`` (a family map or a random Moebius map)
+    is complete, partial or absent, times a random factor."""
+    true = draw(st.one_of(st.sampled_from(SYMMETRIES), MOEBIUS))
+    f = IntPoly(draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4)
+                     .filter(any)))
+    for _ in range(draw(st.integers(0, 3))):
+        x = F(draw(st.integers(-30, 30)), draw(st.integers(1, 30)))
+        orbit = [x]
+        while len(orbit) < 6:
+            x = _moebius(true, x)
+            if x is None or x in orbit:
+                break
+            orbit.append(x)
+        for r in orbit[:draw(st.integers(0, len(orbit)), label="kept")]:
+            f = f * IntPoly((-r.numerator, r.denominator))
+    return true, f
+
+
+class TestRationalRootsSymmetry:
+    """rational_roots under a root symmetry finds the same roots as without,
+    whether the map is the orbits' own or a wrong one."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(orbit_polynomials(), st.booleans(), MOEBIUS)
+    @example((SYMMETRIES[0], IntPoly((-2, 1)) * IntPoly((1, 2))), True, (0, 0, 0, 0))
+    @example((SYMMETRIES[1], IntPoly((1, 1, 1))), True, (1, 1, 1, 1))
+    def test_matches_the_plain_search(self, planted, wrong, other):
+        true, f = planted
+        assert rational_roots(f, other if wrong else true) == rational_roots(f)
+
+    def test_one_lift_per_orbit(self, monkeypatch):
+        # x -> 1 - 1/x permutes 2, 1/2, -1 (the roots of the n = 7 matching
+        # polynomial of y^2 = x^3 - 43x + 166) and -2/3, 5/2, 3/5
+        f = IntPoly((3, 0, 1))
+        for r in (F(2), F(1, 2), F(-1), F(-2, 3), F(5, 2), F(3, 5)):
+            f = f * IntPoly((-r.numerator, r.denominator))
+        lifts = []
+        real = exact._hensel_lift
+
+        def counting(*args):
+            lifts.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(exact, "_hensel_lift", counting)
+        roots = rational_roots(f, SYMMETRIES[1])
+        assert roots == {F(2), F(1, 2), F(-1), F(-2, 3), F(5, 2), F(3, 5)}
+        with_map = len(lifts)
+        lifts.clear()
+        assert rational_roots(f) == roots
+        assert with_map == 2 < len(lifts)
+
+
+def plain_factorize(m: int, trial_limit: int) -> tuple[dict[int, int], int]:
+    """Reference: ``factorize`` by trial division by 2, 3 and the 6k +- 1 up
+    to the limit, one at a time, while their squares do not exceed what is
+    left."""
+    def candidates():
+        yield 2
+        yield 3
+        d, step = 5, 2
+        while d <= trial_limit:
+            yield d
+            d += step
+            step = 6 - step
+
+    n, primes = abs(m), {}
+    for d in candidates():
+        if d * d > n:
+            break
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            primes[d] = e
+    proved = n < exact._SPRP_BOUND and all(
+        exact._is_sprp(n, a) for a in exact._SPRP_BASES if a < n)
+    if n > 1 and (math.isqrt(n) <= trial_limit or proved):
+        primes[n] = 1
+        n = 1
+    return primes, n
+
+
 class TestFactorize:
     def test_basic(self):
         assert factorize(12) == ({2: 2, 3: 1}, 1)
@@ -327,6 +425,28 @@ class TestFactorize:
         # prime, but above the bound below which the 13 bases prove primality
         assert factorize(2**89 - 1, trial_limit=1000) == ({}, 2**89 - 1)
         assert factorize(41, trial_limit=2) == ({41: 1}, 1)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(m=st.one_of(st.integers(-10**10, 10**10).filter(bool),
+                       st.builds(lambda b, e, c: b**e * c, st.integers(1, 4000),
+                                 st.integers(1, 6), st.integers(-10**5, 10**5).filter(bool))),
+           trial_limit=st.sampled_from((2, 3, 4, 5, 7, 24, 25, 1000, 3000, 10**6)))
+    @example(m=9, trial_limit=2)
+    @example(m=3 * 1009**2, trial_limit=1009)
+    def test_matches_plain_trial_division(self, m, trial_limit):
+        # the block gcds change the route, not the answer nor its order
+        assert list(factorize(m, trial_limit)[0].items()) == list(
+            plain_factorize(m, trial_limit)[0].items())
+        assert factorize(m, trial_limit)[1] == plain_factorize(m, trial_limit)[1]
+
+    def test_primes_are_sieved_on_first_use(self):
+        probe = ("import torsionforms.cli\n"
+                 "from torsionforms import exact\n"
+                 "assert exact._sieve[0] == 0\n"
+                 "exact.factorize(12)\n"
+                 "assert 0 < exact._sieve[0] < 10**6\n")
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
     def test_roundtrip_random(self):
         # trial division to 10**6 proves every m <= 10**12 completely factored

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from torsionforms import (
     FAMILIES,
+    IntPoly,
     PROVENANCE,
     SideConditionError,
     Witness,
@@ -23,6 +24,9 @@ EXPECTED_KSETS = {
     9: (F(1), F(1, 3)),
 }
 EXPECTED_SIGMA = {5: -1, 7: 1, 8: 1, 9: 1}
+# alpha -> -1/alpha, 1 - 1/alpha, 1 - alpha, 1 - 1/alpha, and their orders
+EXPECTED_SYMMETRY = {5: ((0, -1, 1, 0), 2), 7: ((1, -1, 1, 0), 3),
+                     8: ((-1, 1, 0, 1), 2), 9: ((1, -1, 1, 0), 3)}
 
 
 class TestFamilyTables:
@@ -92,6 +96,63 @@ class TestFamilyTables:
             "n8-z-system", "n9-point-y3", "disc-table-normalization",
         ):
             assert key in PROVENANCE and PROVENANCE[key]
+
+
+def _j_parts(fam) -> tuple[IntPoly, IntPoly]:
+    """(P, Q) with j(alpha) = 6912 P(alpha) / Q(alpha) on the Tate curve; the
+    alpha-power denominators of A_8 and B_8 give A^3 and B^2 the same alpha^12
+    and cancel."""
+    assert 3 * fam.tate_A_denpow == 2 * fam.tate_B_denpow
+    P = fam.tate_A_num**3
+    return P, 4 * P + 27 * fam.tate_B_num**2
+
+
+def _compose(f: IntPoly, symmetry, N: int) -> IntPoly:
+    """(c x + d)**N f((a x + b)/(c x + d)), for N >= deg f."""
+    a, b, c, d = symmetry
+    num, den = IntPoly((b, a)), IntPoly((d, c))
+    out = IntPoly(())
+    for i, coeff in enumerate(f.coeffs):
+        out = out + coeff * num**i * den ** (N - i)
+    return out
+
+
+class TestRootSymmetry:
+    """Each family's ``symmetry`` phi keeps j, so it permutes the roots of
+    detect's matching polynomial, which depends on the curve only through j."""
+
+    def test_maps(self):
+        for n, fam in FAMILIES.items():
+            assert fam.symmetry == EXPECTED_SYMMETRY[n][0]
+
+    def test_j_is_invariant_as_a_polynomial_identity(self):
+        # j(phi(x)) = j(x) is P(phi) Q = P Q(phi); times (c x + d)**N, with N
+        # the larger degree, both sides are integer polynomials
+        for n, fam in FAMILIES.items():
+            P, Q = _j_parts(fam)
+            N = max(P.degree, Q.degree)
+            lhs = _compose(P, fam.symmetry, N) * Q
+            rhs = P * _compose(Q, fam.symmetry, N)
+            assert not lhs.is_zero()
+            assert lhs == rhs, n
+            # and the identity is not empty: phi moves alpha
+            assert _compose(IntPoly((0, 1)), fam.symmetry, 1) != IntPoly((0, 1))
+
+    def test_finite_order(self):
+        # phi**k is the identity exactly when its matrix is a scalar
+        def mul(m1, m2):
+            a, b, c, d = m1
+            e, f, g, h = m2
+            return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+        for n, fam in FAMILIES.items():
+            power, order = fam.symmetry, EXPECTED_SYMMETRY[n][1]
+            for k in range(1, order):
+                a, b, c, d = power
+                assert not (b == c == 0 and a == d), (n, k)
+                power = mul(power, fam.symmetry)
+            a, b, c, d = power
+            assert b == c == 0 and a == d != 0, n
 
 
 class TestEvalAB:

@@ -114,6 +114,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             CurveRecord.from_dict(d)
 
+    @pytest.mark.parametrize("field", ["n", "p", "q", "k", "A", "B", "delta", "points",
+                                       "group_label", "provenance", "form"])
+    def test_missing_or_ill_typed_field_is_named(self, record, field):
+        d = record.to_dict()
+        del d[field]
+        with pytest.raises(ValueError, match=f"record field '{field}' is missing"):
+            CurveRecord.from_dict(d)
+        d[field] = 5
+        with pytest.raises(ValueError, match=f"record field '{field}' has the wrong type"):
+            CurveRecord.from_dict(d)
+
+    def test_empty_and_non_object_lines(self):
+        with pytest.raises(ValueError, match="record field 'n' is missing"):
+            CurveRecord.from_json_line("{}")
+        with pytest.raises(ValueError, match="JSON object, not list"):
+            CurveRecord.from_json_line("[]")
+
     def test_json_is_plain(self, record):
         parsed = json.loads(record.to_json_line())
         assert all(isinstance(v, (str, list)) for v in parsed.values())

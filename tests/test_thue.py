@@ -464,6 +464,102 @@ class TestPositivePath:
             assert detect(c, n) is not None, (c, n)
 
 
+def _rows(c: Curve, n: int) -> tuple:
+    """detect's root-cache rows for c and n."""
+    ja, jb = c.j_invariant.numerator, c.j_invariant.denominator
+    return thue._matching_roots(n, ja, jb)
+
+
+class TestPositiveMissCost:
+    """What a positive answer computes: one Newton lift per root orbit, one
+    order per point pair (x, +-y), one witness per answer."""
+
+    @pytest.mark.parametrize("n, A, B", [(7, -43, 166), (9, -219, 1654)])
+    def test_one_lift_per_orbit(self, monkeypatch, cold_root_cache, n, A, B):
+        lifts = []
+        real = exact._hensel_lift
+
+        def counting(*args):
+            lifts.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(exact, "_hensel_lift", counting)
+        c = Curve(A, B)
+        assert detect(c, n) is not None
+        # the orbit of alpha under alpha -> 1 - 1/alpha, found from one lift
+        alphas = [row[0] for row in _rows(c, n)]
+        assert len(alphas) == 3 and len(lifts) == 1
+        a, b, cc, d = FAMILIES[n].symmetry
+        assert {(a * x + b) / (cc * x + d) for x in alphas} == set(alphas)
+
+    def test_one_order_per_point_pair(self, monkeypatch):
+        orders = []
+        real = thue._integral_order
+
+        def counting(*args):
+            orders.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(thue, "_integral_order", counting)
+        w = Witness(7, 2, 1, F(1, 3))
+        points = order_n_points(w)
+        assert len(points) == 6 and len(orders) == 3
+        assert [P.y for P in points[1::2]] == [-P.y for P in points[::2]]
+
+    def test_rows_keep_one_point_per_pair(self, cold_root_cache):
+        c = Curve(-43, 166)
+        for alpha, *_, F0, G0, points in _rows(c, 7):
+            fam = FAMILIES[7]
+            model = thue._checked_model(7, fam.sigma * alpha.numerator, alpha.denominator, 1)
+            assert (F0, G0, points) == (model[0], model[1], tuple(model[2][::2]))
+
+    def test_one_witness_per_answer(self, monkeypatch):
+        # the 2-twist of y^2 = x^3 - 43x + 166 has three rows, none of whose
+        # witnesses absorbs the twist: the answer is the first row's
+        c = twist_scale(Curve(-43, 166), 2)
+        built = []
+
+        class CountingWitness(Witness):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(thue, "Witness", CountingWitness)
+        trace = detect(c, 7)
+        assert len(_rows(c, 7)) == 3 and len(built) == 1
+        assert trace.alpha == _rows(c, 7)[0][0] and trace.discrepancy is not None
+        monkeypatch.undo()
+        w = trace.witness
+        plain = dataclasses.replace(trace, witness=Witness(w.n, w.p, w.q, w.k))
+        assert plain == fraction_detect(c, 7)
+
+    def test_discrepancy_row_before_the_clean_row(self, monkeypatch):
+        # rows of one curve either all absorb the twist or none does (the
+        # diamond automorphisms keep the twist class), so the first row is
+        # flagged by hand: detect must pass over it to the clean second row,
+        # and answer with the first row only when no row is clean
+        c = Curve(-43, 166)
+        rows = _rows(c, 7)
+        real = thue._branch_from_alpha_u
+        flagged = {rows[0][0]}
+
+        def flag(fam, alpha, r, t):
+            s, kn, kd, scale, absorbed = real(fam, alpha, r, t)
+            return s, kn, kd, scale, absorbed and alpha not in flagged
+
+        monkeypatch.setattr(thue, "_branch_from_alpha_u", flag)
+        trace = detect(c, 7)
+        alpha = rows[1][0]
+        An, Bn = FAMILIES[7].tate_value(alpha)
+        u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
+        witness, scale, _, note = fraction_witness_from_alpha_u(7, alpha, u)
+        assert note is None
+        assert trace == thue.DetectionTrace(alpha=alpha, u=u, witness=witness, scale=scale)
+        flagged.update(row[0] for row in rows)
+        trace = detect(c, 7)
+        assert trace.alpha == rows[0][0] and trace.discrepancy is not None
+
+
 def fraction_order_n_points(w: Witness) -> list:
     """Reference: the printed points built and checked on the witness curve
     in Fraction, then their orders on an integral twist of it."""
@@ -549,7 +645,7 @@ def test_generate_curve_matches_fraction_reference(branch, p, q):
 
 
 def fraction_witness_from_alpha_u(n: int, alpha: F, u: F):
-    """Reference: the witness conversion of ``thue._witness_from_alpha_u``,
+    """Reference: the witness conversion of ``thue._branch_from_alpha_u``,
     in Fraction."""
     fam = FAMILIES[n]
     p0 = fam.sigma * alpha.numerator
