@@ -5,16 +5,16 @@ Integers are plain ``int`` (unbounded), rationals are ``fractions.Fraction``
 dense univariate integer polynomials and homogeneous bivariate forms, which
 share one coefficient arithmetic (evaluation, products, powers, equality),
 exact rational roots by p-adic (Newton-Hensel) lifting, with no factorization
-and no search bound, trial-division factorization by blocks of primes, and
-exact n-th roots.
+and no search bound, trial-division factorization by block gcds, and exact
+n-th roots.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Iterable, Optional
 
 
@@ -198,30 +198,28 @@ def decimal_to_int(s: str) -> int:
 # ---------------------------------------------------------------------------
 # factorization
 
-# Trial division runs over blocks of _BLOCK consecutive primes: one gcd with
-# the block's product, and divisions only inside a block whose gcd is not 1.
-# The primes below _sieve[0] and the block products are sieved on the first
-# call that needs them, never at import, and sieved afresh when a call needs
-# more.
-_BLOCK = 512
-_sieve: tuple[int, list[int], list[int]] = (0, [], [])
+# Trial division runs over blocks of 512 consecutive candidates 6i - 1, 6i + 1
+# (_SPAN consecutive integers): one gcd with the block's product, and
+# divisions only inside a block whose gcd is not 1.  The products are made on
+# first use; the 1024 most recent stay cached, which covers the default trial
+# limit, so memory does not grow with the limit.
+_SPAN = 6 * 256
 
 
-def _prime_blocks(need: int) -> tuple[list[int], list[int]]:
-    """The primes below a bound above ``need``, ascending, and the product of
-    each block of _BLOCK of them."""
-    global _sieve
-    if _sieve[0] <= need:
-        bound = max(need + 1, 2 * _sieve[0], 1 << 12)
-        flags = bytearray([1]) * bound
-        flags[:2] = b"\0\0"
-        for i in range(2, math.isqrt(bound - 1) + 1):
-            if flags[i]:
-                flags[i * i::i] = bytes(len(range(i * i, bound, i)))
-        primes = list(compress(range(bound), flags))
-        _sieve = (bound, primes, [math.prod(primes[i:i + _BLOCK])
-                                  for i in range(0, len(primes), _BLOCK)])
-    return _sieve[1], _sieve[2]
+@lru_cache(maxsize=1024)
+def _block_product(lo: int, hi: int) -> int:
+    """The product of the 6i +- 1 in [lo, hi), for lo = 5 mod 6."""
+    return math.prod(range(lo, hi, 6)) * math.prod(range(lo + 2, hi, 6))
+
+
+def _trial_blocks(limit: int):
+    """The trial divisors, 2, 3 and then the 6i +- 1 up to ``limit``, in
+    ascending blocks, each as (least divisor, product, ranges), where the
+    ranges together hold the block."""
+    yield 2, 6, (range(2, 4),)
+    for lo in range(5, limit + 1, _SPAN):
+        hi = min(lo + _SPAN, limit + 1)
+        yield lo, _block_product(lo, hi), (range(lo, hi, 6), range(lo + 2, hi, 6))
 
 
 # No composite below this bound is a strong probable prime to all of the
@@ -248,10 +246,10 @@ def _is_sprp(n: int, a: int) -> bool:
 
 
 def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
-    """Trial-division factorization of ``m``: by the primes up to
-    ``trial_limit`` (and 2 and 3), while their squares do not exceed what is
-    left, taken in blocks of _BLOCK primes; a block is divided through only
-    when its product has a common factor with what is left.
+    """Trial-division factorization of ``m``: by 2, 3 and the 6i +- 1 up to
+    ``trial_limit``, while their squares do not exceed what is left, taken in
+    blocks of 512; a block is divided through only when its product has a
+    common factor with what is left.
 
     Returns ``(primes, cofactor)`` with ``primes`` a prime -> exponent table
     and ``cofactor >= 1`` the unfactored part (1 when complete).
@@ -267,20 +265,17 @@ def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
         raise ValueError("trial_limit must be at least 2")
     n = abs(m)
     primes: dict[int, int] = {}
-    top = max(trial_limit, 3)  # 2 and 3 are always tried
-    table, products = _prime_blocks(min(top, math.isqrt(n)))
-    for lo in range(0, len(table), _BLOCK):
-        if table[lo] > top or table[lo] ** 2 > n:
+    for least, product, ranges in _trial_blocks(trial_limit):
+        if least * least > n:
             break
-        block, product = table[lo:lo + _BLOCK], products[lo // _BLOCK]
-        if block[-1] > top:
-            block = [d for d in block if d <= top]
-            product = math.prod(block)
-        g = math.gcd(n, product)
-        if g == 1:
+        if math.gcd(n, product) == 1:
             continue
-        for d in block:
-            if g % d == 0:
+        # a composite candidate never divides what is left: its prime
+        # factors are smaller and already divided out
+        for d in sorted(chain(*ranges)):
+            if d * d > n:
+                break
+            if n % d == 0:
                 e = 0
                 while n % d == 0:
                     n //= d

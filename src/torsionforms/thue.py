@@ -118,8 +118,9 @@ def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple
     of the witness curve (n, p, q, k), and S = 1 the primitive model.  The
     points and all their multiples are integral (Nagell-Lutz), so the checks
     run in int: nonsingular, every point on the curve and of exact order n.
-    The points come in pairs (x, y), (x, -y); as -P has the order of P, the
-    membership and the order are checked once per pair, on (x, y).
+    The points are returned interleaved, (x, y) then (x, -y) for each printed
+    x, so ``points[::2]`` holds one point of each pair; as -P has the order of
+    P, the order is checked once per pair, on (x, y).
     """
     fam = FAMILIES[n]
     F, G = -27 * S**4 * fam.U(p, q), fam.b_sign * 54 * S**6 * fam.V(p, q)
@@ -227,18 +228,17 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     return tuple(entry)
 
 
-def _branch_from_alpha_u(fam: ThueFamily, alpha: Fraction, r: int, t: int
-                         ) -> tuple[int, int, int, int, bool]:
-    """Convert a matching-system solution (alpha, u = r/t), with u > 0 in
-    lowest terms, to the witness (s p0, s q0, kn/kd), where
-    p0 = sigma * alpha.numerator and q0 = alpha.denominator.
+def _witness_from_alpha_u(
+    n: int, alpha: Fraction, u: Fraction
+) -> tuple[Witness, int, Optional[str]]:
+    """Convert a matching-system solution to a witness.
 
-    Returns ``(s, kn, kd, scale, absorbed)``, all in int.  The raw branch
-    factor is k_raw = 1/(u q0^j) (1/(u |p0| q0) for n = 8); if k_raw/k is the
-    j-th power of a positive integer s for some branch k, the scale absorbs
-    into (s p0, s q0) and the plain integral system is solvable (scale 1,
-    ``absorbed``).  Otherwise the residual integer scale m of k_raw = m/b is
-    kept on the k = 1/b branch (s = 1) and the trace is flagged.
+    Returns ``(witness, scale, discrepancy)``.  The raw branch factor is
+    k_raw = 1/(u q^j) (1/(u p q) for n = 8); if k_raw/k is the j-th power of a
+    positive integer s for some branch k, the scale absorbs into (s p0, s q0)
+    and the plain integral system is solvable.  Otherwise the residual integer
+    scale m of k_raw = m/b is kept on the k = 1/b branch and the trace is
+    flagged.  All of it runs in int.
 
     1/b is always a branch: A = -27 k_raw^4 U(p0, q0) and
     B = +-54 k_raw^6 V(p0, q0) are integers, so b^4 | 27 U and b^6 | 54 V;
@@ -246,11 +246,13 @@ def _branch_from_alpha_u(fam: ThueFamily, alpha: Fraction, r: int, t: int
     its primes leaves exactly the denominators of the branch set
     (``test_branch_denominators_by_resultant``).
     """
+    fam = FAMILIES[n]
+    p0 = fam.sigma * alpha.numerator
     q0 = alpha.denominator
     j = fam.scale_power
-    # k_raw = m/b in lowest terms
-    m = t
-    b = r * (abs(alpha.numerator) * q0 if fam.n == 8 else q0**j)
+    # k_raw = m/b in lowest terms; u > 0
+    m = u.denominator
+    b = u.numerator * (abs(p0) * q0 if n == 8 else q0**j)
     g = math.gcd(m, b)
     m, b = m // g, b // g
     for k in fam.kset:
@@ -258,22 +260,12 @@ def _branch_from_alpha_u(fam: ThueFamily, alpha: Fraction, r: int, t: int
         if num % den == 0:
             s = integer_nth_root(num // den, j)
             if s**j == num // den:
-                return s, k.numerator, k.denominator, 1, True
-    return 1, 1, b, m, False
-
-
-def _trace(fam: ThueFamily, alpha: Fraction, r: int, t: int,
-           s: int, kn: int, kd: int, scale: int, absorbed: bool) -> DetectionTrace:
-    """The trace of a checked ``detect`` row; the ``Witness`` re-checks the
-    branch and the side conditions, and raises ``SideConditionError``."""
-    witness = Witness(fam.n, s * fam.sigma * alpha.numerator, s * alpha.denominator,
-                      Fraction(kn, kd))
-    note = None if absorbed else (
-        f"no integral solution of the plain system; residual scale {int_to_decimal(scale)} "
-        f"on the k = 1/{kd} branch"
+                return Witness(n, s * p0, s * q0, k), 1, None
+    note = (
+        f"no integral solution of the plain system; residual scale {int_to_decimal(m)} "
+        f"on the k = 1/{b} branch"
     )
-    return DetectionTrace(alpha=alpha, u=Fraction(r, t), witness=witness, scale=scale,
-                          discrepancy=note)
+    return Witness(n, p0, q0, Fraction(1, b)), m, note
 
 
 def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
@@ -286,26 +278,24 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     of numA**3 or numB**2, neither of which has a rational root.
 
     The roots come from the (n, j) cache of ``_matching_roots``; a curve
-    without rows gets None at once.  On every row, u, its re-check, the witness
-    (s p0, s q0, k) with its branch and side conditions, and the scale are
-    computed in int.  U, V, X, Y are homogeneous of degrees 4j, 6j, 2j, 3j,
-    so with mu = scale * 6k * s^j the root's model must satisfy
-    mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and (x, y) -> (mu^2 x, mu^3 y),
-    which keeps orders, puts its points on c's 6-twist.  The answer is the
-    first row whose scale the witness absorbs, else the first row; the
-    ``Witness``, the note and the trace are built for that row only.
+    without rows gets None at once.  On every row, u, its re-check and the
+    witness (s p0, s q0, k) are computed in int.  U, V, X, Y are homogeneous
+    of degrees 4j, 6j, 2j, 3j, so with mu = scale * 6k * s^j the root's model
+    must satisfy mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and
+    (x, y) -> (mu^2 x, mu^3 y), which keeps orders, puts its points on c's
+    6-twist.
     """
     fam = family(n)
     A, B = c.A, c.B
-    A3 = A**3
     # j = 6912 A^3 / (4 A^3 + 27 B^2) in lowest terms with a positive denominator
+    A3 = A**3
     ja, jb = 6912 * A3, 4 * A3 + 27 * B**2
     g = math.gcd(ja, jb) if jb > 0 else -math.gcd(ja, jb)
     rows = _matching_roots(n, ja // g, jb // g)
     if not rows:
         return None
     A6, B6 = 1296 * A, 46656 * B
-    first = None
+    best: Optional[DetectionTrace] = None
     for alpha, an, ad, bn, bd, F0, G0, points in rows:
         # u^2 = A bn ad / (B bd an) = r^2 / t^2 in lowest terms
         un, ud = A * bn * ad, B * bd * an
@@ -319,23 +309,23 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
         # u**4 A = an/ad and u**6 B = bn/bd
         if r**4 * A * ad != an * t**4 or r**6 * B * bd != bn * t**6:
             raise FamilyDataError("matching root failed the exact system re-check")
-        row = (alpha, r, t, *_branch_from_alpha_u(fam, alpha, r, t))
-        s, kn, kd, scale, absorbed = row[3:]
-        p, q = s * fam.sigma * alpha.numerator, s * alpha.denominator
-        if not (any(k.numerator == kn and k.denominator == kd for k in fam.kset)
-                and fam.side_conditions_ok(p, q)):
-            _trace(fam, *row)  # the Witness raises its SideConditionError
-        mu = scale * (6 * kn // kd) * s**fam.scale_power
+        u = Fraction(r, t)
+        witness, scale, note = _witness_from_alpha_u(n, alpha, u)
+        k, s = witness.k, witness.q // alpha.denominator
+        mu = scale * (6 * k.numerator // k.denominator) * s**fam.scale_power
         if mu**4 * F0 != A6 or mu**6 * G0 != B6:
             raise FamilyDataError("witness failed the 6-scaled system validation")
         sx, sy = mu**2, mu**3
         if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
             raise FamilyDataError("witness points do not map onto the curve's 6-twist")
-        if absorbed:
-            return _trace(fam, *row)
-        if first is None:
-            first = row
-    return None if first is None else _trace(fam, *first)
+        trace = DetectionTrace(
+            alpha=alpha, u=u, witness=witness, scale=scale, discrepancy=note
+        )
+        if trace.discrepancy is None:
+            return trace
+        if best is None:
+            best = trace
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import math
 import random
-import subprocess
-import sys
+import tracemalloc
 from fractions import Fraction as F
 from functools import partial
 
@@ -439,14 +438,16 @@ class TestFactorize:
             plain_factorize(m, trial_limit)[0].items())
         assert factorize(m, trial_limit)[1] == plain_factorize(m, trial_limit)[1]
 
-    def test_primes_are_sieved_on_first_use(self):
-        probe = ("import torsionforms.cli\n"
-                 "from torsionforms import exact\n"
-                 "assert exact._sieve[0] == 0\n"
-                 "exact.factorize(12)\n"
-                 "assert 0 < exact._sieve[0] < 10**6\n")
-        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert r.returncode == 0, r.stderr
+    def test_memory_does_not_grow_with_trial_limit(self):
+        # 100003 is prime: the blocks run up to it, far below the limit
+        m = 2**300 * 100003**3
+        tracemalloc.start()
+        try:
+            assert factorize(m, trial_limit=10**15) == ({2: 300, 100003: 3}, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_roundtrip_random(self):
         # trial division to 10**6 proves every m <= 10**12 completely factored

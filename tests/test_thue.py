@@ -471,8 +471,8 @@ def _rows(c: Curve, n: int) -> tuple:
 
 
 class TestPositiveMissCost:
-    """What a positive answer computes: one Newton lift per root orbit, one
-    order per point pair (x, +-y), one witness per answer."""
+    """What a positive answer computes: one Newton lift per root orbit and one
+    order per point pair (x, +-y)."""
 
     @pytest.mark.parametrize("n, A, B", [(7, -43, 166), (9, -219, 1654)])
     def test_one_lift_per_orbit(self, monkeypatch, cold_root_cache, n, A, B):
@@ -513,26 +513,6 @@ class TestPositiveMissCost:
             model = thue._checked_model(7, fam.sigma * alpha.numerator, alpha.denominator, 1)
             assert (F0, G0, points) == (model[0], model[1], tuple(model[2][::2]))
 
-    def test_one_witness_per_answer(self, monkeypatch):
-        # the 2-twist of y^2 = x^3 - 43x + 166 has three rows, none of whose
-        # witnesses absorbs the twist: the answer is the first row's
-        c = twist_scale(Curve(-43, 166), 2)
-        built = []
-
-        class CountingWitness(Witness):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(thue, "Witness", CountingWitness)
-        trace = detect(c, 7)
-        assert len(_rows(c, 7)) == 3 and len(built) == 1
-        assert trace.alpha == _rows(c, 7)[0][0] and trace.discrepancy is not None
-        monkeypatch.undo()
-        w = trace.witness
-        plain = dataclasses.replace(trace, witness=Witness(w.n, w.p, w.q, w.k))
-        assert plain == fraction_detect(c, 7)
-
     def test_discrepancy_row_before_the_clean_row(self, monkeypatch):
         # rows of one curve either all absorb the twist or none does (the
         # diamond automorphisms keep the twist class), so the first row is
@@ -540,14 +520,14 @@ class TestPositiveMissCost:
         # and answer with the first row only when no row is clean
         c = Curve(-43, 166)
         rows = _rows(c, 7)
-        real = thue._branch_from_alpha_u
+        real = thue._witness_from_alpha_u
         flagged = {rows[0][0]}
 
-        def flag(fam, alpha, r, t):
-            s, kn, kd, scale, absorbed = real(fam, alpha, r, t)
-            return s, kn, kd, scale, absorbed and alpha not in flagged
+        def flag(n, alpha, u):
+            witness, scale, note = real(n, alpha, u)
+            return witness, scale, "flagged" if alpha in flagged else note
 
-        monkeypatch.setattr(thue, "_branch_from_alpha_u", flag)
+        monkeypatch.setattr(thue, "_witness_from_alpha_u", flag)
         trace = detect(c, 7)
         alpha = rows[1][0]
         An, Bn = FAMILIES[7].tate_value(alpha)
@@ -557,7 +537,7 @@ class TestPositiveMissCost:
         assert trace == thue.DetectionTrace(alpha=alpha, u=u, witness=witness, scale=scale)
         flagged.update(row[0] for row in rows)
         trace = detect(c, 7)
-        assert trace.alpha == rows[0][0] and trace.discrepancy is not None
+        assert trace.alpha == rows[0][0] and trace.discrepancy == "flagged"
 
 
 def fraction_order_n_points(w: Witness) -> list:
@@ -645,7 +625,7 @@ def test_generate_curve_matches_fraction_reference(branch, p, q):
 
 
 def fraction_witness_from_alpha_u(n: int, alpha: F, u: F):
-    """Reference: the witness conversion of ``thue._branch_from_alpha_u``,
+    """Reference: the witness conversion of ``thue._witness_from_alpha_u``,
     in Fraction."""
     fam = FAMILIES[n]
     p0 = fam.sigma * alpha.numerator
