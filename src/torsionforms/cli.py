@@ -225,8 +225,8 @@ def cmd_verify_identities(args) -> int:
     )
     check(
         f"binary-form homogenization n={n} (sigma = {fam.sigma:+d})",
-        -27 * fam.U.dehomogenize(fam.sigma) == fam.tate_A_num
-        and fam.b_sign * 54 * fam.V.dehomogenize(fam.sigma) == fam.tate_B_num,
+        -27 * fam.U.dehomogenize(fam.sigma) == a_num
+        and fam.b_sign * 54 * fam.V.dehomogenize(fam.sigma) == b_num,
     )
     degs = (
         fam.U.degree,

@@ -184,7 +184,9 @@ def rational_to_decimal(x: Fraction) -> str:
 
 def decimal_to_int(s: str) -> int:
     """The int written as an optionally signed string of decimal digits, of
-    any length; raises ``ValueError`` on anything else."""
+    any length; ``ValueError`` on any other string, ``TypeError`` on a non-string."""
+    if not isinstance(s, str):
+        raise TypeError(f"not a string: {type(s).__name__}")
     digits = s[1:] if s[:1] in ("-", "+") else s
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {s[:40]!r}")
@@ -212,16 +214,6 @@ def _block_product(lo: int, hi: int) -> int:
     return math.prod(range(lo, hi, 6)) * math.prod(range(lo + 2, hi, 6))
 
 
-def _trial_blocks(limit: int):
-    """The trial divisors, 2, 3 and then the 6i +- 1 up to ``limit``, in
-    ascending blocks, each as (least divisor, product, ranges), where the
-    ranges together hold the block."""
-    yield 2, 6, (range(2, 4),)
-    for lo in range(5, limit + 1, _SPAN):
-        hi = min(lo + _SPAN, limit + 1)
-        yield lo, _block_product(lo, hi), (range(lo, hi, 6), range(lo + 2, hi, 6))
-
-
 # No composite below this bound is a strong probable prime to all of the
 # bases (Sorenson and Webster, Math. Comp. 86 (2017)), so below it the test
 # is a proof of primality.
@@ -246,10 +238,10 @@ def _is_sprp(n: int, a: int) -> bool:
 
 
 def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
-    """Trial-division factorization of ``m``: by 2, 3 and the 6i +- 1 up to
-    ``trial_limit``, while their squares do not exceed what is left, taken in
-    blocks of 512; a block is divided through only when its product has a
-    common factor with what is left.
+    """Trial-division factorization of ``m``: by 2 and 3, then by the 6i +- 1
+    up to ``trial_limit``, while their squares do not exceed what is left,
+    taken in blocks of 512; a block is divided through only when its product
+    has a common factor with what is left.
 
     Returns ``(primes, cofactor)`` with ``primes`` a prime -> exponent table
     and ``cofactor >= 1`` the unfactored part (1 when complete).
@@ -265,22 +257,24 @@ def factorize(m: int, trial_limit: int = 10**6) -> tuple[dict[int, int], int]:
         raise ValueError("trial_limit must be at least 2")
     n = abs(m)
     primes: dict[int, int] = {}
-    for least, product, ranges in _trial_blocks(trial_limit):
-        if least * least > n:
+    for d in (2, 3):
+        while n % d == 0:
+            n //= d
+            primes[d] = primes.get(d, 0) + 1
+    for lo in range(5, trial_limit + 1, _SPAN):
+        if lo * lo > n:
             break
-        if math.gcd(n, product) == 1:
+        hi = min(lo + _SPAN, trial_limit + 1)
+        if math.gcd(n, _block_product(lo, hi)) == 1:
             continue
         # a composite candidate never divides what is left: its prime
         # factors are smaller and already divided out
-        for d in sorted(chain(*ranges)):
+        for d in sorted(chain(range(lo, hi, 6), range(lo + 2, hi, 6))):
             if d * d > n:
                 break
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                primes[d] = e
+            while n % d == 0:
+                n //= d
+                primes[d] = primes.get(d, 0) + 1
     if n > 1 and (math.isqrt(n) <= trial_limit or (
             n < _SPRP_BOUND and all(_is_sprp(n, a) for a in _SPRP_BASES if a < n))):
         primes[n] = 1

@@ -9,10 +9,12 @@ with k ranging over a small branch set, and the order-n points are
     ( 3 * k**2 * X_i(p, q),  +-108 * k**3 * Y_i(p, q) ).
 
 The same data in one-variable form: A_n(alpha) = tate_A_num(alpha)/alpha**a_pow
-(and likewise for B) are the short-model coefficients of the Tate normal form,
-related to the binary forms by
+(and likewise for B) are the short-model coefficients of the Tate normal form.
+The numerators are not transcribed but derived from the binary forms,
 
-    -27 * U_n(p, q) = q**degF * alpha**a_pow * A_n(alpha)   at alpha = sigma*p/q.
+    tate_A_num(x) = -27 * U_n(sigma*x, 1),   tate_B_num(x) = +-54 * V_n(sigma*x, 1),
+
+so that -27 * U_n(p, q) = q**degF * alpha**a_pow * A_n(alpha) at alpha = sigma*p/q.
 
 All tables are transcribed from their published source and verified against
 the Tate pipeline by the test suite; known transcription issues are listed in
@@ -21,7 +23,7 @@ the Tate pipeline by the test suite; known transcription issues are listed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import HomForm, IntPoly
@@ -44,9 +46,7 @@ class ThueFamily:
     V: HomForm
     point_x: tuple[HomForm, ...]
     point_y: tuple[HomForm, ...]
-    tate_A_num: IntPoly
     tate_A_denpow: int
-    tate_B_num: IntPoly
     tate_B_denpow: int
     # the Moebius map alpha -> (a*alpha + b)/(c*alpha + d), as (a, b, c, d), of
     # a diamond automorphism of X_1(n): it keeps the curve (and j) and moves
@@ -57,6 +57,12 @@ class ThueFamily:
     nonzero_pq: bool
     p_ne_q: bool
     two_p_ne_q: bool
+    tate_A_num: IntPoly = field(init=False)
+    tate_B_num: IntPoly = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tate_A_num", -27 * self.U.dehomogenize(self.sigma))
+        object.__setattr__(self, "tate_B_num", self.b_sign * 54 * self.V.dehomogenize(self.sigma))
 
     @property
     def scale_power(self) -> int:
@@ -91,12 +97,10 @@ def _family_5() -> ThueFamily:
     V = HomForm(2, (1, 0, 1)) * HomForm(4, (1, -18, 74, 18, 1))
     X = (HomForm(2, (1, -6, 1)), HomForm(2, (1, 6, 1)))
     Y = (_P * _P * _Q, _P * _Q * _Q)
-    A_num = IntPoly((-27, -324, -378, 324, -27))
-    B_num = IntPoly((54, 972, 4050, 0, 4050, -972, 54))
     return ThueFamily(
         n=5, kset=(Fraction(1),), sigma=-1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_num=A_num, tate_A_denpow=0, tate_B_num=B_num, tate_B_denpow=0,
+        tate_A_denpow=0, tate_B_denpow=0,
         symmetry=(0, -1, 1, 0),  # alpha -> -1/alpha, of order 2
         degrees=(4, 6, 2, 3), nonzero_pq=True, p_ne_q=False, two_p_ne_q=False,
     )
@@ -115,14 +119,10 @@ def _family_7() -> ThueFamily:
         _P_MINUS_Q * _P**2 * _Q**3,
         _P_MINUS_Q**2 * _P**3 * _Q,
     )
-    A_num = -27 * (IntPoly((1, -1, 1)) * IntPoly((1, 5, -10, -15, 30, -11, 1)))
-    B_num = IntPoly(
-        (54, 324, -810, -2484, 9396, -11988, 14742, -26244, 30780, -19116, 6318, -972, 54)
-    )
     return ThueFamily(
         n=7, kset=(Fraction(1), Fraction(1, 3)), sigma=1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_num=A_num, tate_A_denpow=0, tate_B_num=B_num, tate_B_denpow=0,
+        tate_A_denpow=0, tate_B_denpow=0,
         symmetry=(1, -1, 1, 0),  # alpha -> 1 - 1/alpha, of order 3
         degrees=(8, 12, 4, 6), nonzero_pq=True, p_ne_q=True, two_p_ne_q=False,
     )
@@ -139,16 +139,10 @@ def _family_8() -> ThueFamily:
         _P * _Q * _Q_MINUS_P**3 * _Q_MINUS_2P,
         _P**3 * _Q * _Q_MINUS_P * _Q_MINUS_2P,
     )
-    A_num = -27 * IntPoly((1, -16, 96, -288, 480, -448, 224, -64, 16))
-    # the alpha**10 coefficient is absent from the published list; the pipeline
-    # fixes it to 0 (see PROVENANCE["B8-alpha10"])
-    B_num = -54 * IntPoly(
-        (-1, 24, -240, 1328, -4560, 10272, -15568, 15840, -10296, 3520, 0, -384, 64)
-    )
     return ThueFamily(
         n=8, kset=(Fraction(1), Fraction(1, 2)), sigma=1, b_sign=-1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_num=A_num, tate_A_denpow=4, tate_B_num=B_num, tate_B_denpow=6,
+        tate_A_denpow=4, tate_B_denpow=6,
         symmetry=(-1, 1, 0, 1),  # alpha -> 1 - alpha, of order 2
         degrees=(8, 12, 4, 6), nonzero_pq=False, p_ne_q=True, two_p_ne_q=True,
     )
@@ -171,17 +165,10 @@ def _family_9() -> ThueFamily:
         _P * _Q**2 * HomForm(6, (1, -5, 11, -14, 11, -5, 1)),
         _P**2 * _Q**4 * HomForm(3, (-1, 2, -2, 1)),
     )
-    A_num = IntPoly(
-        (-27, 0, 324, -756, 486, 972, -3078, 4860, -5103, 3456, -1458, 324, -27)
-    )
-    B_num = IntPoly(
-        (54, 0, -972, 2268, 1458, -16524, 39690, -58320, 73386, -109728, 174960,
-         -228420, 222912, -160380, 84078, -30780, 7290, -972, 54)
-    )
     return ThueFamily(
         n=9, kset=(Fraction(1), Fraction(1, 3)), sigma=1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_num=A_num, tate_A_denpow=0, tate_B_num=B_num, tate_B_denpow=0,
+        tate_A_denpow=0, tate_B_denpow=0,
         symmetry=(1, -1, 1, 0),  # alpha -> 1 - 1/alpha, of order 3
         degrees=(12, 18, 6, 9), nonzero_pq=True, p_ne_q=True, two_p_ne_q=False,
     )

@@ -2,12 +2,13 @@
 
 The torsion of an integral model injects into E(F_p) at each odd prime p of
 good reduction (Silverman, AEC VII.3.1), so its order divides the gcd N of a
-few such #E(F_p).  Past the 2-torsion, the torsion points have integral x
-(Nagell-Lutz) that are roots of the division polynomial g_N (Washington,
-Elliptic Curves, 3.2); they are Newton-lifted p-adically from the roots of
-g_N mod p by ``exact._hensel_lift``, the lift ``exact.rational_roots`` uses
-too, and kept when they give points of order at most 12.  The points are
-classified into the fifteen possible rational torsion groups.
+few such #E(F_p).  The torsion points have integral x (Nagell-Lutz), and
+the x of the nonzero points of E[N] are the roots of the division polynomial
+psi_N**2 (Washington, Elliptic Curves, 3.2), the 2-torsion included; they are
+Newton-lifted p-adically from the roots mod p by ``exact._hensel_lift``, the
+lift ``exact.rational_roots`` uses too, and kept when they give points of
+order at most 12.  The points are classified into the fifteen possible
+rational torsion groups.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache, partial
 
 from .curves import INFINITY, Curve, Point, _integral_order
 from .errors import FamilyDataError
-from .exact import _hensel_lift, _primes_from, integer_roots_monic_cubic
+from .exact import _hensel_lift, _primes_from
 
 MAZUR_ORDER_CAP = 12
 
@@ -61,8 +62,11 @@ def _count_points(A: int, B: int, p: int) -> int:
 
 def _division_value(N: int, A: int, B: int, x: int, m: int) -> int:
     """g_N(x) mod m, where g_N is the division polynomial psi_N for odd N and
-    psi_N / psi_2 for even N, by the doubling recurrence on values (N >= 1)."""
-    F = 16 * (x**3 + A * x + B) ** 2 % m
+    psi_N / psi_2 for even N, by the doubling recurrence on values (N >= 1);
+    for even N, times x**3 + A*x + B, whose roots are the 2-torsion x.  Either
+    way the value vanishes exactly at the x of the nonzero points of E[N]."""
+    f = (x**3 + A * x + B) % m
+    F = 16 * f * f % m
     g = [0, 1, 1, (3 * x**4 + 6 * A * x * x + 12 * B * x - A * A) % m,
          2 * (x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A * A * x * x
               - 4 * A * B * x - 8 * B * B - A**3) % m]
@@ -75,17 +79,17 @@ def _division_value(N: int, A: int, B: int, x: int, m: int) -> int:
         else:
             v = g[h + 2] * g[h] ** 3 - F * g[h - 1] * g[h + 1] ** 3
         g.append(v % m)
-    return g[N]
+    return g[N] if N % 2 else g[N] * f % m
 
 
 def _division_roots(N: int, A: int, B: int, disc: int) -> list[int]:
-    """Every integer x with |x| <= X and g_N(x) = 0, and other integers
-    besides, where X = max(isqrt(2|A|), 2**ceil(b/3)) + 1 and b is the bit
-    length of 2(|D| + |B|), D = 4A**3 + 27B**2 = -disc/16; 2**ceil(b/3) bounds
-    the cube root of 2(|D| + |B|).  Each root of g_N mod the first odd prime p
-    not dividing N * disc, a simple root there, is Newton-lifted by
-    ``exact._hensel_lift`` until the modulus exceeds 2X, and its symmetric
-    residue is returned."""
+    """Every integer x with |x| <= X that is the x of a nonzero point of E[N],
+    and other integers besides, where X = max(isqrt(2|A|), 2**ceil(b/3)) + 1
+    and b is the bit length of 2(|D| + |B|), D = 4A**3 + 27B**2 = -disc/16;
+    2**ceil(b/3) bounds the cube root of 2(|D| + |B|).  Each root of
+    ``_division_value`` mod the first odd prime p not dividing N * disc, a
+    simple root there, is Newton-lifted by ``exact._hensel_lift`` until the
+    modulus exceeds 2X, and its symmetric residue is returned."""
     p = next(q for q in _primes_from(3) if N * disc % q)
     cube = 2 * (abs(disc) // 16 + abs(B))
     bound = 2 * (max(math.isqrt(2 * abs(A)), 1 << -(-cube.bit_length() // 3)) + 1)
@@ -109,16 +113,13 @@ def torsion_points(c: Curve) -> frozenset:
         if N == 1:
             break
     points = {INFINITY}
-    if N % 2 == 0:
-        points |= {Point(x, 0) for x in integer_roots_monic_cubic(A, B)}
-    if N > 2:
-        # Nagell-Lutz: y = 0 or y**2 | D = 4A**3 + 27B**2.  So |x| <= X: either
-        # x**2 < 2|A|, or |x|**3 / 2 <= |x**3 + Ax| = |y**2 - B| <= |D| + |B|
-        for x in _division_roots(N, A, B, disc):
-            rhs = x**3 + A * x + B
-            y = math.isqrt(rhs) if rhs > 0 else 0
-            if y and y * y == rhs and _integral_order(A, x, y, MAZUR_ORDER_CAP) is not None:
-                points |= {Point(x, y), Point(x, -y)}
+    # Nagell-Lutz: y = 0 or y**2 | D = 4A**3 + 27B**2.  So |x| <= X: either
+    # x**2 < 2|A|, or |x|**3 / 2 <= |x**3 + Ax| = |y**2 - B| <= |D| + |B|
+    for x in _division_roots(N, A, B, disc):
+        rhs = x**3 + A * x + B
+        y = math.isqrt(max(rhs, 0))
+        if y * y == rhs and _integral_order(A, x, y, MAZUR_ORDER_CAP) is not None:
+            points |= {Point(x, y), Point(x, -y)}
     return frozenset(points)
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import random
 import subprocess
@@ -5,9 +8,12 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionforms import cli
-from torsionforms.exact import decimal_to_int, int_to_decimal
+from torsionforms.exact import HomForm, decimal_to_int, int_to_decimal
+from torsionforms.families import FAMILIES
 from torsionforms.records import CurveRecord
 
 CLI = [sys.executable, "-m", "torsionforms"]
@@ -190,6 +196,21 @@ class TestVerifyIdentitiesCommand:
         assert "FAIL" not in r.stdout
         assert f"sigma_{n} = " in r.stdout
 
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_wrong_form_fails(self, name, monkeypatch, capsys):
+        # the Tate numerators are derived from U and V, so both lines compare
+        # the forms with the pipeline
+        fam = FAMILIES[7]
+        form = getattr(fam, name)
+        coeffs = list(form.coeffs)
+        coeffs[1] += 1
+        monkeypatch.setitem(
+            FAMILIES, 7, dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)}))
+        assert cli.main(["verify-identities", "7"]) == cli.EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "FAIL  tate-pipeline coefficients n=7" in out
+        assert "FAIL  binary-form homogenization n=7" in out
+
     def test_usage_error(self):
         r = run("verify-identities", "6")
         assert r.returncode == 1
@@ -255,6 +276,7 @@ def test_closed_stdout_exits_quietly():
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     proc.wait(timeout=120)
     assert CurveRecord.from_json_line(first).n == 5
     assert (proc.returncode, err) == (cli.EXIT_ERROR, "")
@@ -295,3 +317,85 @@ assert cli.main(["scan", "7", "--search-bound", "2", "--k", "1"]) == 0
 def test_runs_without_sympy():
     r = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+# Tokens of the subcommands' grammar: numbers of any length, fractions with
+# zero denominators, and tokens that no argument accepts.  A number that
+# could reach the search bound, the trial limit or the worker count is small:
+# those values set how long a case runs.
+_NUMBER = st.integers(-10**40, 10**40).map(str)
+_ORDER = st.sampled_from(["5", "7", "8", "9"])
+_FRACTION = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-3, 3))
+_BAD = st.sampled_from(["", "-", "+", "--", "-x", "--nope", "abc", "1.5", "1e3", "0x10",
+                        "٣", " 7", "1_0", "nan", "-h"])
+_ANY = _NUMBER | _FRACTION | _BAD
+_SMALL_OR_BAD = st.sampled_from(["0", "-1"]) | _FRACTION | _BAD
+_STRAY = st.sampled_from(["-1", "0", "1", "2"]) | _BAD
+
+
+def _token(draw, good=_NUMBER, other=_ANY):
+    """Three times in four a token from ``good``, else one from ``other``;
+    a case of several tokens then still succeeds now and then."""
+    return draw(other if draw(st.integers(0, 3)) == 3 else good)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["detect", "generate", "scan", "verify-identities", "bound"]))
+    options = []
+    if command == "detect":
+        positionals = [_token(draw), _token(draw), _token(draw, _ORDER)]
+    elif command == "generate":
+        positionals = [_token(draw, _ORDER), _token(draw), _token(draw)]
+        if draw(st.booleans()):
+            options = ["--k", _token(draw, st.sampled_from(["1", "1/2", "1/3"]))]
+    elif command == "scan":
+        # a grid of a few cells: a small search bound, and each axis either
+        # left to it or given as a range of at most two values
+        positionals = [_token(draw, _ORDER)]
+        options = ["--search-bound", _token(draw, st.sampled_from(["1", "2"]), _SMALL_OR_BAD),
+                   "--workers", draw(st.sampled_from(["1", "2"]))]
+        for axis in "pq":
+            if draw(st.booleans()):
+                lo = draw(st.integers(-10**6, 10**6))
+                options += [f"--{axis}min", str(lo),
+                            f"--{axis}max", str(lo + draw(st.integers(-1, 1)))]
+        if draw(st.booleans()):
+            options += ["--k", _token(draw, st.sampled_from(["all", "1", "1/2", "1/3"]))]
+        if draw(st.booleans()):
+            options.append("--csv")
+    elif command == "verify-identities":
+        positionals = [_token(draw, _ORDER)]
+    else:
+        positionals = [_token(draw, _ORDER), _token(draw)]
+        if draw(st.booleans()):
+            options = ["--trial-limit",
+                       _token(draw, st.sampled_from(["2", "1000"]), _SMALL_OR_BAD)]
+    # "--" ends the options and lets the positionals be negative numbers;
+    # it may come once, or twice with one standing in for a positional
+    dashes = draw(st.integers(0, 2))
+    if dashes == 2:
+        positionals[draw(st.integers(0, len(positionals) - 1))] = "--"
+    args = options + ["--"] * (dashes > 0) + positionals
+    # now and then a token goes missing, or a "--" or a stray token comes in
+    if draw(st.integers(0, 3)) == 3:
+        del args[draw(st.integers(0, len(args) - 1))]
+    for extra in (st.just("--"), _STRAY):
+        if draw(st.integers(0, 3)) == 3:
+            args.insert(draw(st.integers(0, len(args))), draw(extra))
+    return [command] + args
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_any_argv_exits_with_a_documented_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # --help
+            status = exc.code
+    assert status in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_DISCREPANCY), argv
+    lines = err.getvalue().splitlines()
+    assert sum(line.startswith(("error:", "usage error:")) for line in lines) <= 1, argv
+    assert "Traceback" not in err.getvalue()

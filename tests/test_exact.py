@@ -486,6 +486,11 @@ class TestDecimalStrings:
         for bad in ("", "-", "1.5", "1_000", " 7", "0x10", "--3", "٣"):
             with pytest.raises(ValueError):
                 decimal_to_int(bad)
+        # a JSON object: from 3.12 on a slice is hashable, so {}[:1] would
+        # raise KeyError
+        for bad in ({}, {"a": 1}, [], None, 7):
+            with pytest.raises(TypeError):
+                decimal_to_int(bad)
 
 
 class TestSquareRoots:

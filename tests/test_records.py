@@ -3,6 +3,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionforms import FamilyDataError, Witness, generate_curve, twist_point, twist_scale
 from torsionforms.exact import int_to_decimal
@@ -125,6 +127,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"record field '{field}' has the wrong type"):
             CurveRecord.from_dict(d)
 
+    @pytest.mark.parametrize("field", ["n", "p", "q", "A", "B", "delta"])
+    def test_object_in_a_number_field_is_named(self, record, field):
+        # from Python 3.12 on a slice is hashable, so {}[:1] raises KeyError
+        d = record.to_dict()
+        d[field] = {}
+        with pytest.raises(ValueError, match=f"record field '{field}' has the wrong type"):
+            CurveRecord.from_dict(d)
+
     def test_empty_and_non_object_lines(self):
         with pytest.raises(ValueError, match="record field 'n' is missing"):
             CurveRecord.from_json_line("{}")
@@ -134,3 +144,51 @@ class TestValidation:
     def test_json_is_plain(self, record):
         parsed = json.loads(record.to_json_line())
         assert all(isinstance(v, (str, list)) for v in parsed.values())
+
+
+# record lines to mutate: three orders, two forms, a fractional branch
+_LINES = [generate_curve(Witness(n, p, q, k)).to_json_line()
+          for n, p, q, k in [(5, 2, 1, F(1)), (7, 3, 1, F(1, 3)), (9, -3, 2, F(1))]]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["0", "-7", "1/0", "1/3", "Z/5Z", "generated", "ab"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_line(draw):
+    line = draw(st.sampled_from(_LINES))
+    if draw(st.booleans()):
+        # edit the text: delete, insert or replace a few characters, mostly
+        # inside the numbers, so that most lines stay JSON
+        chars = list(line)
+        for _ in range(draw(st.integers(1, 4))):
+            digits = [i for i, c in enumerate(chars) if c.isdigit()]
+            i = draw(st.sampled_from(digits) if digits and draw(st.integers(0, 3))
+                     else st.integers(0, len(chars)))
+            op = draw(st.sampled_from(["delete", "insert", "replace"]))
+            c = draw(st.sampled_from('0123456789-/"{}[],: x\\é'))
+            if op == "insert":
+                chars.insert(i, c)
+            elif i < len(chars):
+                chars[i:i + 1] = [] if op == "delete" else [c]
+        return "".join(chars)
+    # edit the object: drop a field, or give it another JSON value
+    d = json.loads(line)
+    key = draw(st.sampled_from(sorted(d)))
+    if draw(st.booleans()):
+        del d[key]
+    else:
+        d[key] = draw(_JSON_VALUES)
+    return json.dumps(d)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(line=_mutated_line())
+def test_mutated_lines_raise_only_typed_errors(line):
+    try:
+        CurveRecord.from_json_line(line)
+    except (ValueError, FamilyDataError):
+        pass

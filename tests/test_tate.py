@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from torsionforms import (
     DegenerateParameterError,
     FAMILIES,
+    HomForm,
     LongWeierstrass,
     TATE_ORDERS,
     has_point_of_order,
@@ -96,6 +98,20 @@ class TestTateAB:
             assert a_pow == fam.tate_A_denpow
             assert b_num == fam.tate_B_num
             assert b_pow == fam.tate_B_denpow
+
+    @pytest.mark.parametrize("n", (5, 7, 8, 9))
+    def test_pipeline_catches_a_wrong_form(self, n):
+        # the numerators are derived from U and V, so the pipeline is what
+        # checks the forms: one coefficient off must show
+        fam = FAMILIES[n]
+        a_num, _, b_num, _ = interpolated_pipeline_poly(n)
+        for name in ("U", "V"):
+            form = getattr(fam, name)
+            coeffs = list(form.coeffs)
+            coeffs[1] += 1
+            wrong = dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)})
+            assert (wrong.tate_A_num, wrong.tate_B_num) != (a_num, b_num), (n, name)
+            assert (wrong.tate_A_num == a_num) == (name == "V")
 
     def test_b8_alpha10_coefficient_resolved_to_zero(self):
         _, _, b_num, _ = interpolated_pipeline_poly(8)

@@ -31,7 +31,7 @@ from torsionforms import (
     twist_scale,
 )
 from torsionforms import exact, torsion
-from torsionforms.exact import divisors, factorize, integer_roots_monic_cubic
+from torsionforms.exact import divisors, factorize, integer_roots_monic_cubic, rational_roots
 
 
 def unsieved_torsion_points(c: Curve):
@@ -209,24 +209,53 @@ class TestResidueSieve:
             reject()
         self.assert_matches_unsieved(rec.curve)
 
+    # one generated record for each even-order label that the grid
+    # |p|, |q| <= 10 gives: the 2-torsion x come from the oracle's lift
+    @pytest.mark.parametrize("n, p, q, label", [
+        (5, -4, 3, "Z/10Z"), (8, -1, 1, "Z/8Z"), (8, -2, 1, "Z/2Z x Z/8Z"),
+    ])
+    def test_even_order_generated_records(self, n, p, q, label):
+        c = generate_curve(Witness(n, p, q, F(1))).curve
+        torsion_points.cache_clear()
+        self.assert_matches_unsieved(c)
+        assert torsion_structure(c).group_label == label
+
+    def test_full_two_torsion(self):
+        # y**2 = x**3 - x = (x + 1) x (x - 1)
+        torsion_points.cache_clear()
+        self.assert_matches_unsieved(Curve(-1, 0))
+        assert torsion_structure(Curve(-1, 0)).group_label == "Z/2Z x Z/2Z"
+
+    def test_count_gcd_two(self):
+        # the point counts of y**2 = x**3 + 2x + 3 have gcd N = 2, so the
+        # oracle lifts the roots of the cubic alone
+        c = Curve(2, 3)
+        torsion_points.cache_clear()
+        with mock.patch.object(torsion, "_division_roots", wraps=torsion._division_roots) as spy:
+            self.assert_matches_unsieved(c)
+        assert [call.args[0] for call in spy.call_args_list] == [2]
+        assert torsion_points(c) == frozenset({INFINITY, Point(-1, 0)})
+
     def test_prunes_cubic_solves(self, monkeypatch):
         # the reference enumerator solves the cubic once per square divisor;
-        # the oracle solves it only for the 2-torsion
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return integer_roots_monic_cubic(a, b)
-
-        monkeypatch.setattr(torsion, "integer_roots_monic_cubic", counted)
-        torsion_points.cache_clear()
+        # the oracle solves none: the 2-torsion x are roots of its lift too
         rec = generate_curve(Witness(9, 17, -11, F(1)))
-        assert rec.group_label == "Z/9Z"
         primes, cofactor = factorize(rec.curve.disc)
         assert cofactor == 1
         squares = len(divisors({p: e // 2 for p, e in primes.items() if e >= 2}))
         assert squares > 30000
-        assert len(calls) <= squares // 100
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rational_roots(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "rational_roots", counted)
+        for c in (rec.curve, Curve(-1, 0), Curve(2, 3)):
+            torsion_points.cache_clear()
+            torsion_structure(c)
+        assert torsion_structure(rec.curve).group_label == "Z/9Z"
+        assert calls == []
 
 
 def nagell_lutz_x_bound(c: Curve) -> int:
