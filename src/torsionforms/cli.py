@@ -169,15 +169,17 @@ def cmd_scan(args) -> int:
     cells = ((args.n, p, q, str(k), args.csv) for p in ps for q in qs for k in branches)
     out = open(args.out, "w") if args.out else sys.stdout
     stats = {"record": 0, "skip_side": 0, "skip_degenerate": 0}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.workers, cpus or 1)  # more processes would only wait for a CPU
     try:
-        if args.workers > 1:
+        if workers > 1:
             import multiprocessing
 
             # Pool.imap drains its whole input at once, so it gets the cells
             # one bounded batch at a time
-            size = 512 * args.workers
+            size = 512 * workers
             batches = iter(lambda: list(islice(cells, size)), [])
-            with multiprocessing.get_context("fork").Pool(args.workers) as pool:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
                 results = chain.from_iterable(
                     pool.imap(_scan_cell, batch, chunksize=8) for batch in batches
                 )

@@ -140,16 +140,16 @@ def point_order(c: Curve, P: PointLike, cap: int = 16) -> Optional[int]:
 
     Runs in integers.  On an integral model, which :class:`Curve` enforces,
     a point of finite order and all its multiples have integral coordinates
-    (Nagell-Lutz; Silverman, AEC VIII.7.2).  So a non-integral P, or a slope
+    (Nagell-Lutz; Silverman, AEC VIII.7.2).  So a non-integral x, or a slope
     that does not divide exactly (its multiple is then non-integral), means
-    infinite order and gives None.
+    infinite order and gives None; on the curve, an integral x makes y integral.
     """
     _require_on_curve(c, P)
     if cap < 1:
         return None
     if P is INFINITY:
         return 1
-    if P.x.denominator != 1 or P.y.denominator != 1:
+    if P.x.denominator != 1:
         return None
     return _integral_order(c.A, P.x.numerator, P.y.numerator, cap)
 

@@ -26,10 +26,10 @@ def _decimal_to_rational(s: str) -> Fraction:
     return Fraction(*parts)
 
 
-def _text(s: str) -> str:
-    if not isinstance(s, str):
-        raise TypeError("not a string")
-    return s
+def _typed(value, kind: type = str):
+    if not isinstance(value, kind):
+        raise TypeError(f"not a {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ class CurveRecord:
             k=field("k", _decimal_to_rational),
             curve=Curve(field("A"), field("B")),
             delta=field("delta"),
-            points=field("points", lambda pts: tuple(
-                Point(_decimal_to_rational(x), _decimal_to_rational(y)) for x, y in pts)),
-            group_label=field("group_label", _text),
-            provenance=field("provenance", _text),
-            form=field("form", _text),
+            points=field("points", lambda pts: tuple(  # a list of [x, y] lists
+                Point(*map(_decimal_to_rational, _typed(P, list))) for P in _typed(pts, list))),
+            group_label=field("group_label", _typed),
+            provenance=field("provenance", _typed),
+            form=field("form", _typed),
         )
         rec.validate()
         return rec

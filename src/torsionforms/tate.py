@@ -55,8 +55,6 @@ def tate_bc(n: int, alpha) -> tuple[Fraction, Fraction]:
         return c * (a * (a - 1) + 1), c
     if n == 10:
         d = a - (a - 1) ** 2
-        if d == 0:
-            raise DegenerateParameterError("n=10 denominator alpha - (alpha-1)^2 vanishes")
         c = (2 * a**3 - 3 * a**2 + a) / d
         return c * a * a / d, c
     if n == 12:
@@ -86,8 +84,8 @@ def tate_AB(n: int, alpha) -> tuple[Fraction, Fraction]:
     """Short-model coefficients (A_n(alpha), B_n(alpha)) through the full pipeline.
 
     Values are returned even where the resulting model is singular; rejection
-    happens only where a case formula itself degenerates (n=8 at alpha=0 and
-    the n=10, 12 denominators).
+    happens only where a case formula itself degenerates: n=8 at alpha=0, and
+    n=12 at alpha=1, the only rational zero of a case's denominator.
     """
     return long_to_short(tate_long(n, alpha))
 
@@ -117,20 +115,11 @@ def interpolated_pipeline_poly(n: int) -> tuple[IntPoly, int, IntPoly, int]:
         raise ValueError("pipeline polynomials are extracted for n in {5, 7, 8, 9}")
     a_pow, b_pow = (4, 6) if n == 8 else (0, 0)
     deg_a, deg_b = {5: (4, 6), 7: (8, 12), 8: (8, 12), 9: (12, 18)}[n]
-    xs: list[int] = []
-    ya: list[Fraction] = []
-    yb: list[Fraction] = []
-    x = 2
-    while len(xs) < max(deg_a, deg_b) + 1:
-        try:
-            A, B = tate_AB(n, Fraction(x))
-        except DegenerateParameterError:
-            x += 1
-            continue
-        xs.append(x)
-        ya.append(A * Fraction(x) ** a_pow)
-        yb.append(B * Fraction(x) ** b_pow)
-        x += 1
+    # tate_AB raises only at alpha = 0 (n = 8), so no sample x >= 2 is skipped
+    xs = list(range(2, max(deg_a, deg_b) + 3))
+    values = [tate_AB(n, Fraction(x)) for x in xs]
+    ya = [A * x**a_pow for x, (A, _) in zip(xs, values)]
+    yb = [B * x**b_pow for x, (_, B) in zip(xs, values)]
     return (
         _interpolate_int_poly(xs[: deg_a + 1], ya[: deg_a + 1]),
         a_pow,

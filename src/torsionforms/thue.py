@@ -278,12 +278,12 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     of numA**3 or numB**2, neither of which has a rational root.
 
     The roots come from the (n, j) cache of ``_matching_roots``; a curve
-    without rows gets None at once.  On every row, u, its re-check and the
-    witness (s p0, s q0, k) are computed in int.  U, V, X, Y are homogeneous
-    of degrees 4j, 6j, 2j, 3j, so with mu = scale * 6k * s^j the root's model
-    must satisfy mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and
-    (x, y) -> (mu^2 x, mu^3 y), which keeps orders, puts its points on c's
-    6-twist.
+    without rows gets None at once.  On every row, u, the witness (s p0, s q0,
+    k) and the mu check are computed in int.  U, V, X, Y are homogeneous of
+    degrees 4j, 6j, 2j, 3j, so with mu = scale * 6k * s^j the root's model must
+    satisfy mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and (x, y) -> (mu^2 x, mu^3 y),
+    which keeps orders, puts its points on c's 6-twist.  As mu l u = 6 on the
+    model (l^4 A_n, l^6 B_n), l = q0^j (|p0| q0 if n = 8), it also checks u.
     """
     fam = family(n)
     A, B = c.A, c.B
@@ -306,9 +306,6 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
         r, t = math.isqrt(un), math.isqrt(ud)
         if r * r != un or t * t != ud:
             continue
-        # u**4 A = an/ad and u**6 B = bn/bd
-        if r**4 * A * ad != an * t**4 or r**6 * B * bd != bn * t**6:
-            raise FamilyDataError("matching root failed the exact system re-check")
         u = Fraction(r, t)
         witness, scale, note = _witness_from_alpha_u(n, alpha, u)
         k, s = witness.k, witness.q // alpha.denominator

@@ -48,6 +48,15 @@ class TestDiscPoly:
         with pytest.raises(ValueError):
             reduced_form(5)
 
+    def test_small_order_rows_are_the_substituted_reduced_forms(self):
+        # rows n = 2, 3, 4 transcribe reduced_form(n) before REDUCTION's
+        # substitution (y^2 -> y, x^3 -> x, y^2 -> y)
+        for x in range(-9, 10):
+            for y in range(-9, 10):
+                assert disc_poly(2, x, y) == reduced_form(2)(x, y**2), (x, y)
+                assert disc_poly(3, x, y) == reduced_form(3)(x**3, y), (x, y)
+                assert disc_poly(4, x, y) == reduced_form(4)(x, y**2), (x, y)
+
 
 def _random_witnesses(n, count, seed, k=F(1)):
     fam = FAMILIES[n]

@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
+import os
 import random
 import subprocess
 import sys
@@ -159,6 +161,43 @@ class TestScanCommand:
         grid = ["--pmin", big, "--pmax", "1", "--qmin", "-" + big, "--qmax", "1"]
         assert cli.main(["scan", "5", *grid]) == 0
         assert capsys.readouterr().err.startswith("scanned=0 emitted=0 ")
+
+    # cpus=None: os.cpu_count() could not tell
+    @pytest.mark.parametrize("affinity, requested, cpus, pools", [
+        (True, "2", 3, [2]), (True, "1000000", 3, [3]), (True, "8", 1, []),
+        (False, "1000000", 3, [3]), (False, "8", None, []),
+    ])
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, capsys,
+                                               affinity, requested, cpus, pools):
+        # the recording pool runs the cells in this process: no process starts
+        sizes = []
+
+        class Context:
+            class Pool:
+                def __init__(self, size):
+                    sizes.append(size)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                def imap(self, func, cells, chunksize):
+                    return map(func, cells)
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.main(["scan", "7", *self.GRID]) == 0
+        serial = capsys.readouterr()
+        assert cli.main(["scan", "7", *self.GRID, "--workers", requested]) == 0
+        assert capsys.readouterr() == serial
+        assert sizes == pools
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_grid_is_walked_lazily(self, monkeypatch, workers):

@@ -253,6 +253,21 @@ class TestPointOrderOverIntegers:
         with pytest.raises(OffCurveError):
             point_order(Curve(-432, 8208), P, cap)
 
+    @settings(max_examples=200, **SETTINGS)
+    @given(A=st.integers(-10**4, 10**4), B=st.integers(-10**4, 10**4),
+           x=st.integers(-10**3, 10**3), y=st.fractions().filter(lambda y: y.denominator > 1))
+    def test_integral_x_on_the_curve_has_integral_y(self, A, B, x, y):
+        # point_order checks only x: on the curve y^2 = x^3 + A x + B is an
+        # integer, and the square of a reduced fraction with denominator
+        # b > 1 has denominator b^2 > 1
+        try:
+            c = Curve(A, B)
+        except SingularCurveError:
+            reject()
+        assert (y * y).denominator == y.denominator**2 > 1
+        with pytest.raises(OffCurveError):
+            point_order(c, Point(x, y))
+
     def test_no_rational_group_law(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("point_order used the rational group law")

@@ -135,6 +135,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"record field '{field}' has the wrong type"):
             CurveRecord.from_dict(d)
 
+    @pytest.mark.parametrize("points", [["38"], "", {}, {"1": 2}, "38", [["3", "8", "1"]],
+                                        [["3"]], [[]], [{"3": "8"}], None])
+    def test_points_not_a_list_of_pairs_is_named(self, points):
+        # the n = 7 record has the point (3, 8): the string "38" must not
+        # unpack into it
+        d = generate_curve(Witness(7, 2, 1, F(1, 3))).to_dict()
+        assert d["points"][0] == ["3", "8"]
+        d["points"] = points
+        with pytest.raises(ValueError, match="record field 'points' has the wrong type"):
+            CurveRecord.from_dict(d)
+
     def test_empty_and_non_object_lines(self):
         with pytest.raises(ValueError, match="record field 'n' is missing"):
             CurveRecord.from_json_line("{}")

@@ -10,6 +10,7 @@ from torsionforms import (
     DegenerateParameterError,
     FAMILIES,
     HomForm,
+    IntPoly,
     LongWeierstrass,
     TATE_ORDERS,
     has_point_of_order,
@@ -19,6 +20,8 @@ from torsionforms import (
     tate_bc,
     tate_short_curve,
 )
+from torsionforms import tate
+from torsionforms.exact import rational_roots
 
 
 class TestTateBC:
@@ -41,6 +44,14 @@ class TestTateBC:
             tate_bc(12, 1)
         with pytest.raises(ValueError):
             tate_bc(3, 1)
+
+    def test_n10_denominator_has_no_rational_zero(self):
+        # tate_bc(10, a) divides by a - (a - 1)^2 = -(a^2 - 3a + 1), whose
+        # zeros (3 +- sqrt 5)/2 are irrational
+        assert rational_roots(IntPoly((1, -3, 1))) == set()
+        for a in (F(0), F(1), F(3, 2), F(-7, 3), F(13, 8)):
+            assert a - (a - 1) ** 2 == -(a * a - 3 * a + 1)
+            assert tate_bc(10, a) is not None
 
 
 class TestLongToShort:
@@ -112,6 +123,21 @@ class TestTateAB:
             wrong = dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)})
             assert (wrong.tate_A_num, wrong.tate_B_num) != (a_num, b_num), (n, name)
             assert (wrong.tate_A_num == a_num) == (name == "V")
+
+    @pytest.mark.parametrize("n", (5, 7, 8, 9))
+    def test_interpolation_samples_every_x_from_two(self, monkeypatch, n):
+        # for these n, tate_bc divides only by alpha (n = 8), so tate_AB
+        # raises only at alpha = 0 and no sample x >= 2 is skipped
+        samples = []
+        real = tate.tate_AB
+
+        def recording(order, alpha):
+            samples.append(alpha)
+            return real(order, alpha)
+
+        monkeypatch.setattr(tate, "tate_AB", recording)
+        interpolated_pipeline_poly(n)
+        assert samples == list(range(2, FAMILIES[n].tate_B_num.degree + 3))
 
     def test_b8_alpha10_coefficient_resolved_to_zero(self):
         _, _, b_num, _ = interpolated_pipeline_poly(8)

@@ -84,6 +84,24 @@ def cold_root_cache():
     thue._matching_roots.cache_clear()
 
 
+def _planted_witnesses(per_branch: int = 2) -> list:
+    """The first ``per_branch`` nonsingular witnesses of every n and branch
+    on a fixed list of (p, q)."""
+    out = []
+    for n in FAMILY_ORDERS:
+        for k in FAMILIES[n].kset:
+            found = []
+            for p, q in [(2, 1), (3, 1), (-2, 1), (3, 2), (-3, 2), (5, 3), (-5, 2), (4, 3)]:
+                try:
+                    w = Witness(n, p, q, k)
+                except SideConditionError:
+                    continue
+                if disc_AB(*eval_AB(w)) != 0:
+                    found.append(w)
+            out += found[:per_branch]
+    return out
+
+
 class TestOrderNPoints:
     def test_order5_anchor_point(self):
         pts = order_n_points(Witness(5, 1, 1, F(1)))
@@ -300,6 +318,18 @@ class TestDetect:
             "no integral solution of the plain system; residual scale 2 on the k = 1/3 branch"
         )
 
+    @pytest.mark.parametrize("w", _planted_witnesses(), ids=repr)
+    def test_quadratic_twists_reach_both_skips(self, w):
+        # the twist (d^2 A, d^3 B) keeps j, so it has the planted curve's
+        # rows, and divides u^2 by d: a row's u^2 is <= 0 for d < 0 and is
+        # not a square for d = 2, 3, 5; detect must pass over every row
+        c = _integral_curve(w)
+        for d in (-1, 2, -2, 3, -3, 5, -7):
+            twist = Curve(d * d * c.A, d**3 * c.B)
+            assert _rows(twist, w.n), (w, d)
+            assert detect(twist, w.n) is None, (w, d)
+            assert not has_point_of_order(twist, w.n), (w, d)
+
     def test_residual_scale_flagged_on_quartic_twist(self):
         # the 2-twist keeps the order-7 point but the plain integral system
         # loses solvability; the trace carries the residual scale
@@ -372,6 +402,37 @@ class TestDetectProofs:
                     e += 1
                 dens = {d * ell**i for d in dens for i in range(e + 1)}
             assert dens == {k.denominator for k in fam.kset}, n
+
+    def test_mu_check_is_the_matching_system(self):
+        # detect checks a row once: with lambda = q0^j (|p0| q0 for n = 8)
+        # the row's model is (F0, G0) = (lambda^4 A_n, lambda^6 B_n), and the
+        # witness gives mu = scale * 6k * s^j = 6/(lambda u).  So
+        # mu^4 F0 = 6^4 A holds exactly when u^4 A = A_n(alpha), and
+        # mu^6 G0 = 6^6 B exactly when u^6 B = B_n(alpha)
+        positive, flagged = 0, 0
+        for w in _planted_witnesses(3):
+            planted = _integral_curve(w)
+            for v in (1, 2, 3, 5, 6):
+                c = twist_scale(planted, v)
+                for alpha, an, ad, bn, bd, F0, G0, _ in _rows(c, w.n):
+                    An, Bn = F(an, ad), F(bn, bd)
+                    u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
+                    if u is None:
+                        continue
+                    u = abs(u)
+                    witness, scale, note = thue._witness_from_alpha_u(w.n, alpha, u)
+                    fam = FAMILIES[w.n]
+                    s = witness.q // alpha.denominator
+                    mu = scale * (6 * witness.k) * s**fam.scale_power
+                    p0, q0 = fam.sigma * alpha.numerator, alpha.denominator
+                    lam = abs(p0) * q0 if w.n == 8 else q0**fam.scale_power
+                    assert mu * lam * u == 6, (c, w.n, alpha)
+                    assert (F0, G0) == (lam**4 * An, lam**6 * Bn), (c, w.n, alpha)
+                    positive += 1
+                    flagged += note is not None
+        # the corpus holds rows whose twist the witness absorbs and rows
+        # whose twist it cannot absorb
+        assert positive > flagged > 0
 
 
 class TestPositivePath:
