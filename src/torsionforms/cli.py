@@ -133,11 +133,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        k = Fraction(args.k)
-    except ZeroDivisionError:
-        raise ValueError(f"k = {args.k} has a zero denominator") from None
-    w = Witness(args.n, args.p, args.q, k)
+    w = Witness(args.n, args.p, args.q, args.k)
     record = generate_curve(w)
     print(record.to_json_line())
     return EXIT_OK

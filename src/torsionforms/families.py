@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import DegenerateParameterError
 from .exact import HomForm, IntPoly
 
 # convenience linear forms (coefficients ascending in p)
@@ -82,7 +83,7 @@ class ThueFamily:
         """(A_n(alpha), B_n(alpha)) from the transcribed tables."""
         a = Fraction(alpha)
         if self.tate_A_denpow and a == 0:
-            raise ZeroDivisionError(f"A_{self.n} has a pole at alpha = 0")
+            raise DegenerateParameterError(f"A_{self.n} has a pole at alpha = 0")
         r, s = a.numerator, a.denominator
         # num(r/s) / (r/s)**e = eval_pair(r, s) * s**e / (s**deg * r**e)
         return tuple(

@@ -35,7 +35,10 @@ class Witness:
     k: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
+        try:
+            object.__setattr__(self, "k", Fraction(self.k))
+        except ZeroDivisionError:
+            raise SideConditionError(f"k = {self.k} has a zero denominator") from None
         fam = family(self.n)
         if self.k not in fam.kset:
             raise SideConditionError(
@@ -184,18 +187,17 @@ def generate_curve(w: Witness) -> CurveRecord:
 # ---------------------------------------------------------------------------
 # detection
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     """Rational roots of the u-eliminated matching polynomial
 
         M(alpha) = B^2 numA(alpha)^3 denB(alpha)^2 - A^3 numB(alpha)^2 denA(alpha)^3,
 
-    with their Tate values and their checked primitive models.
+    with their Tate values and their checked primitive models: the root
+    search behind ``_cached_roots``, uncached.
 
     The root set depends on the curve only through j = a/b (lowest terms,
     b > 0), so M is built as 4 (1728 b - a) numA^3 - 27 a numB^2, which is
-    186624 M / t for the t with 4 A^3 + 27 B^2 = t b, and cached per
-    (n, a, b): all twists share an entry.  It holds a row
+    186624 M / t for the t with 4 A^3 + 27 B^2 = t b.  It holds a row
     (alpha, an, ad, bn, bd, F0, G0, points) for each root, where
     A_n(alpha) = an/ad and B_n(alpha) = bn/bd in lowest terms, both finite
     and nonzero, and (F0, G0, points) is ``_checked_model`` at S = 1 and
@@ -211,21 +213,63 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     No root needs a filter: numA(0) = -27 and numB(0) = 54 in every family,
     so M(0) = -136048896 b != 0 (M is nonzero and 0, the pole of A_8, is no
     root), and numA, numB have no rational root to vanish at
-    (``test_tate_coefficients_have_no_rational_roots``).
+    (``test_tate_coefficients_have_no_rational_roots``).  So j = 0 (a = 0,
+    M = 6912 b numA^3) and j = 1728 (a = 1728 b, M = -27 a numB^2) have no
+    rows for any order.
     """
     fam = FAMILIES[n]
     M = 4 * (1728 * b - a) * fam.tate_A_num**3 - 27 * a * fam.tate_B_num**2
     # the alpha-power denominators (n = 8) contribute equal alpha^12 factors
     # to both terms and drop out of the root set
-    entry = []
+    rows = []
     roots = sorted(rational_roots(M, fam.symmetry),
                    key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
     for alpha in roots:
         An, Bn = fam.tate_value(alpha)
         F0, G0, points = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
-        entry.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator,
-                      F0, G0, tuple(points[::2])))
-    return tuple(entry)
+        rows.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator,
+                     F0, G0, tuple(points[::2])))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _root_cache(a: int, b: int) -> dict[int, tuple[tuple, ...]]:
+    """The root cache's entry for j = a/b: the rows of each order asked for
+    at this j, filled in by ``_cached_roots``.  One entry serves every curve
+    with this j (all twists) and every order."""
+    return {}
+
+
+def _cached_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
+    """``_matching_roots(n, a, b)``, searched at most once per order and j,
+    and not at all once another order has rows at this j.
+
+    Rows for one order rule out every other order at the same j, so such an
+    order gets () with no matching polynomial and no root search:
+
+    - A row for order k is a root alpha whose primitive model (F0, G0) has
+      j-invariant j and a checked point P of exact order k.
+    - For j not in {0, 1728}, every curve with this j is a quadratic twist
+      of that model.  A twist is an isomorphism over a quadratic field that
+      commutes with Galois up to the sign -1, so it sends the cyclic group
+      <P> to a Galois-stable cyclic group: every curve with this j has a
+      rational cyclic k-isogeny.
+    - A point of order n on such a curve gives a second one, of degree n.
+      Any two of 5, 7, 8 and 9 are coprime, so the two kernels generate a
+      Galois-stable cyclic group of order kn in {35, 40, 45, 56, 63, 72}.
+      No elliptic curve over Q has a rational cyclic isogeny of any of these
+      degrees: the degrees that occur are 1 to 19, 21, 25, 27, 37, 43, 67
+      and 163 (Mazur 1978 for prime degrees, Kenku 1979-81 for the rest).
+    - j = 0 and j = 1728 have rows for no order (see ``_matching_roots``).
+
+    So the rows are those of ``_matching_roots`` whatever the order in which
+    the orders are asked for.
+    """
+    entry = _root_cache(a, b)
+    rows = entry.get(n)
+    if rows is None:
+        rows = entry[n] = () if any(entry.values()) else _matching_roots(n, a, b)
+    return rows
 
 
 def _witness_from_alpha_u(
@@ -277,8 +321,11 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     A*B = 0 need no special case: the matching polynomial becomes a multiple
     of numA**3 or numB**2, neither of which has a rational root.
 
-    The roots come from the (n, j) cache of ``_matching_roots``; a curve
-    without rows gets None at once.  On every row, u, the witness (s p0, s q0,
+    The roots come from the root cache, one entry per j for every order
+    (``_cached_roots``): a curve without rows gets None at once, and once
+    one order has rows at j, every other order has none by Mazur's and
+    Kenku's classification of rational cyclic isogenies, so it gets None
+    with no root search.  On every row, u, the witness (s p0, s q0,
     k) and the mu check are computed in int.  U, V, X, Y are homogeneous of
     degrees 4j, 6j, 2j, 3j, so with mu = scale * 6k * s^j the root's model must
     satisfy mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and (x, y) -> (mu^2 x, mu^3 y),
@@ -291,7 +338,7 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     A3 = A**3
     ja, jb = 6912 * A3, 4 * A3 + 27 * B**2
     g = math.gcd(ja, jb) if jb > 0 else -math.gcd(ja, jb)
-    rows = _matching_roots(n, ja // g, jb // g)
+    rows = _cached_roots(n, ja // g, jb // g)
     if not rows:
         return None
     A6, B6 = 1296 * A, 46656 * B

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from torsionforms import (
+    DegenerateParameterError,
     FAMILIES,
     IntPoly,
     PROVENANCE,
@@ -61,13 +62,23 @@ class TestFamilyTables:
             assert rational_roots(fam.tate_A_num) == set()
             assert rational_roots(fam.tate_B_num) == set()
 
+    def test_tate_value_pole_is_typed(self):
+        # A_8 and B_8 have a pole at alpha = 0, as tate_bc(8, 0) and
+        # param_cross_check(8, u, 0) report; the other families have none
+        for n, fam in FAMILIES.items():
+            if n == 8:
+                with pytest.raises(DegenerateParameterError, match="^A_8 has a pole at alpha = 0$"):
+                    fam.tate_value(0)
+            else:
+                assert fam.tate_value(0) == (-27, 54)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(r=st.integers(-10**6, 10**6), s=st.integers(1, 10**6))
     def test_tate_value_matches_fraction_horner(self, r, s):
         a = F(r, s)
         for fam in FAMILIES.values():
             if fam.tate_A_denpow and a == 0:
-                with pytest.raises(ZeroDivisionError):
+                with pytest.raises(DegenerateParameterError, match="has a pole at alpha = 0"):
                     fam.tate_value(a)
                 continue
             assert fam.tate_value(a) == (

@@ -51,6 +51,8 @@ BRANCH_NECESSITY_CURVES = [
     (-219, 1654, 9, F(1, 3)),
 ]
 
+BRANCHES = [(n, k) for n in FAMILY_ORDERS for k in FAMILIES[n].kset]
+
 
 def _integral_curve(w: Witness) -> Curve:
     A, B = eval_AB(w)
@@ -79,9 +81,9 @@ def validate_trace(c: Curve, w: Witness, scale: int) -> None:
 def cold_root_cache():
     """An empty root cache, emptied again afterwards so that nothing a test
     patched in stays cached."""
-    thue._matching_roots.cache_clear()
+    thue._root_cache.cache_clear()
     yield
-    thue._matching_roots.cache_clear()
+    thue._root_cache.cache_clear()
 
 
 def _planted_witnesses(per_branch: int = 2) -> list:
@@ -178,6 +180,11 @@ class TestGenerateCurve:
         with pytest.raises(SideConditionError):
             Witness(8, 1, 1, F(1))
 
+    @pytest.mark.parametrize("k", ["1/0", "-2/0", "0/0"])
+    def test_zero_denominator_k_is_typed(self, k):
+        with pytest.raises(SideConditionError, match=f"^k = {k} has a zero denominator$"):
+            Witness(5, 2, 1, k)
+
     def test_non_integral_model_uses_six_twist(self):
         rec = generate_curve(Witness(8, 2, 1, F(1, 2)))
         assert rec.form == "fg6"
@@ -225,13 +232,13 @@ class TestDetect:
                 assert detect(c, n) is None
 
     def test_root_cache_is_bounded_and_shared_by_twists(self):
-        maxsize = thue._matching_roots.cache_info().maxsize
+        maxsize = thue._root_cache.cache_info().maxsize
         assert maxsize is not None and maxsize == torsion_points.cache_info().maxsize
-        thue._matching_roots.cache_clear()
+        thue._root_cache.cache_clear()
         c = Curve(-43, 166)
         assert detect(c, 7) is not None
         assert detect(twist_scale(c, 5), 7) is not None
-        info = thue._matching_roots.cache_info()
+        info = thue._root_cache.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_order5_round_trip(self):
@@ -273,7 +280,7 @@ class TestDetect:
                     assert (detect(cu, n) is not None) == base[n]
 
     def test_cache_hit_evaluates_no_tate_value(self, monkeypatch):
-        thue._matching_roots.cache_clear()
+        thue._root_cache.cache_clear()
         c = Curve(-43, 166)
         alpha = detect(c, 7).alpha
 
@@ -525,10 +532,13 @@ class TestPositivePath:
             assert detect(c, n) is not None, (c, n)
 
 
+def _j_key(c: Curve) -> tuple:
+    return c.j_invariant.numerator, c.j_invariant.denominator
+
+
 def _rows(c: Curve, n: int) -> tuple:
-    """detect's root-cache rows for c and n."""
-    ja, jb = c.j_invariant.numerator, c.j_invariant.denominator
-    return thue._matching_roots(n, ja, jb)
+    """detect's root-cache rows for c and n: a search only on a cache miss."""
+    return thue._cached_roots(n, *_j_key(c))
 
 
 class TestPositiveMissCost:
@@ -601,6 +611,85 @@ class TestPositiveMissCost:
         assert trace.alpha == rows[0][0] and trace.discrepancy == "flagged"
 
 
+def _twists(c: Curve) -> list:
+    """c, two of its u-twists (u^4 A, u^6 B) and three of its quadratic twists
+    (d^2 A, d^3 B): the curves with c's j-invariant that detect must tell
+    apart."""
+    return [c, twist_scale(c, 2), twist_scale(c, 3)] + [
+        Curve(d * d * c.A, d**3 * c.B) for d in (-1, 2, -3)]
+
+
+class TestCrossOrderRule:
+    """Rows for one order at j rule out every other order at j (no curve over
+    Q has a rational cyclic isogeny of degree 35, 40, 45, 56, 63 or 72), so
+    the root cache answers the other orders without a root search."""
+
+    @pytest.mark.parametrize("w", _planted_witnesses(3), ids=repr)
+    def test_other_orders_have_no_roots(self, w):
+        # the uncached root search, on every curve with the planted j
+        keys = {_j_key(c) for c in _twists(_integral_curve(w))}
+        assert len(keys) == 1
+        (a, b), = keys
+        assert thue._matching_roots(w.n, a, b)
+        for m in FAMILY_ORDERS:
+            if m != w.n:
+                assert thue._matching_roots(m, a, b) == (), (w, m)
+
+    def test_cm_j_invariants_have_no_rows(self):
+        # j = 0 (A = 0) and j = 1728 (B = 0); detect keys them as 0/1, 1728/1
+        for c in (Curve(0, 1), Curve(0, -16), Curve(1, 0), Curve(-1, 0), Curve(-4, 0)):
+            assert _j_key(c) in {(0, 1), (1728, 1)}
+        for n in FAMILY_ORDERS:
+            assert thue._matching_roots(n, 0, 1) == ()
+            assert thue._matching_roots(n, 1728, 1) == ()
+
+    @pytest.mark.parametrize("w", _planted_witnesses(), ids=repr)
+    def test_other_orders_answered_without_a_search(self, monkeypatch, cold_root_cache, w):
+        c = _integral_curve(w)
+        assert detect(c, w.n) is not None
+
+        def forbidden(*args):
+            raise AssertionError("a ruled-out order ran a root search")
+
+        monkeypatch.setattr(thue, "rational_roots", forbidden)
+        monkeypatch.setattr(thue, "_matching_roots", forbidden)
+        for twist in _twists(c):
+            for m in FAMILY_ORDERS:
+                if m != w.n:
+                    assert detect(twist, m) is None, (w, twist, m)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(branch=st.sampled_from(BRANCHES), p=st.integers(-6, 6), q=st.integers(-6, 6),
+           u=st.integers(2, 7), d=st.sampled_from((-1, 2, -3, 5)),
+           digits=st.integers(1, 20), seed=st.integers(0, 2**32), data=st.data())
+    def test_query_order_does_not_change_the_traces(self, branch, p, q, u, d, digits, seed,
+                                                     data):
+        n, k = branch
+        try:
+            w = Witness(n, p, q, k)
+            if disc_AB(*eval_AB(w)) == 0:
+                reject()
+        except SideConditionError:
+            reject()
+        c = _integral_curve(w)
+        rng = random.Random(seed)
+        A, B = (rng.choice((-1, 1)) * rng.randrange(10**digits) for _ in "AB")
+        if disc_AB(A, B) == 0:
+            reject()
+        curves = [c, twist_scale(c, u), Curve(d * d * c.A, d**3 * c.B), Curve(A, B)]
+        queries = [(curve, m) for curve in curves for m in FAMILY_ORDERS]
+        thue._root_cache.cache_clear()
+        ascending = {query: detect(*query) for query in queries}
+        assert ascending[(c, n)] is not None
+        drawn = data.draw(st.permutations(queries))
+        thue._root_cache.cache_clear()
+        try:
+            assert {query: detect(*query) for query in drawn} == ascending
+        finally:
+            thue._root_cache.cache_clear()
+
+
 def fraction_order_n_points(w: Witness) -> list:
     """Reference: the printed points built and checked on the witness curve
     in Fraction, then their orders on an integral twist of it."""
@@ -622,9 +711,6 @@ def fraction_order_n_points(w: Witness) -> list:
         if point_order(c, twist_point(P, den)) != w.n:
             raise FamilyDataError("wrong order")
     return points
-
-
-BRANCHES = [(n, k) for n in FAMILY_ORDERS for k in FAMILIES[n].kset]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
