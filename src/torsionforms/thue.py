@@ -35,10 +35,15 @@ class Witness:
     k: Fraction
 
     def __post_init__(self):
+        for v in (self.p, self.q):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError("witness coordinates p and q must be integers")
         try:
             object.__setattr__(self, "k", Fraction(self.k))
         except ZeroDivisionError:
-            raise SideConditionError(f"k = {self.k} has a zero denominator") from None
+            raise SideConditionError(f"k = {str(self.k)[:40]} has a zero denominator") from None
+        except (TypeError, ValueError, OverflowError):  # "abc", None, nan, inf
+            raise SideConditionError(f"k = {str(self.k)[:40]} is not a rational") from None
         fam = family(self.n)
         if self.k not in fam.kset:
             raise SideConditionError(
@@ -59,14 +64,15 @@ class Witness:
 @dataclass(frozen=True)
 class DetectionTrace:
     """Solution of the matching system u**4 A = A_n(alpha), u**6 B = B_n(alpha),
-    converted to a family witness.
+    converted to a family witness; ``detect`` reads u and the witness off the
+    twist factor of the root's model.
 
     ``u2`` is the branch denominator ``witness.k.denominator`` (the part of
     the twist that cannot be absorbed into integers; always in {1, 2, 3}),
     read off the witness, and ``scale`` the residual integer multiplier: the
     curve satisfies
     6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q)
-    (``detect`` checks it on the root's model, points included).
+    (``detect`` maps the root's model and its points onto c's 6-twist).
     ``discrepancy`` is set when the plain integral system (scale absorbed into
     (p, q)) has no solution even though the matching system does.
     """
@@ -192,17 +198,17 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
 
         M(alpha) = B^2 numA(alpha)^3 denB(alpha)^2 - A^3 numB(alpha)^2 denA(alpha)^3,
 
-    with their Tate values and their checked primitive models: the root
-    search behind ``_cached_roots``, uncached.
+    with their checked primitive models: the root search behind
+    ``_cached_roots``, uncached.
 
     The root set depends on the curve only through j = a/b (lowest terms,
     b > 0), so M is built as 4 (1728 b - a) numA^3 - 27 a numB^2, which is
     186624 M / t for the t with 4 A^3 + 27 B^2 = t b.  It holds a row
-    (alpha, an, ad, bn, bd, F0, G0, points) for each root, where
-    A_n(alpha) = an/ad and B_n(alpha) = bn/bd in lowest terms, both finite
-    and nonzero, and (F0, G0, points) is ``_checked_model`` at S = 1 and
-    (sigma * alpha.numerator, alpha.denominator), with one point of each
-    pair (x, +-y): ``detect``'s point-map check squares mu^3 y.  So a hit
+    (alpha, F0, G0, points) for each root, where (F0, G0, points) is
+    ``_checked_model`` at S = 1 and (sigma * alpha.numerator,
+    alpha.denominator), with one point of each pair (x, +-y): ``detect``'s
+    point-map check squares mu^3 y.  Each model is checked once, here, to
+    have j-invariant a/b: 4 (1728 b - a) F0^3 = 27 a G0^2.  So a hit
     evaluates no Tate value, form or order.
 
     The roots are found by ``rational_roots`` under the family's
@@ -215,7 +221,7 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     root), and numA, numB have no rational root to vanish at
     (``test_tate_coefficients_have_no_rational_roots``).  So j = 0 (a = 0,
     M = 6912 b numA^3) and j = 1728 (a = 1728 b, M = -27 a numB^2) have no
-    rows for any order.
+    rows for any order, and every row has A, B, F0, G0 != 0.
     """
     fam = FAMILIES[n]
     M = 4 * (1728 * b - a) * fam.tate_A_num**3 - 27 * a * fam.tate_B_num**2
@@ -225,10 +231,11 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     roots = sorted(rational_roots(M, fam.symmetry),
                    key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
     for alpha in roots:
-        An, Bn = fam.tate_value(alpha)
         F0, G0, points = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
-        rows.append((alpha, An.numerator, An.denominator, Bn.numerator, Bn.denominator,
-                     F0, G0, tuple(points[::2])))
+        if 4 * (1728 * b - a) * F0**3 != 27 * a * G0**2:
+            raise FamilyDataError(f"the root model at alpha = {rational_to_decimal(alpha)} "
+                                  "failed the 6-scaled system validation: wrong j-invariant")
+        rows.append((alpha, F0, G0, tuple(points[::2])))
     return tuple(rows)
 
 
@@ -272,33 +279,30 @@ def _cached_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     return rows
 
 
-def _witness_from_alpha_u(
-    n: int, alpha: Fraction, u: Fraction
-) -> tuple[Witness, int, Optional[str]]:
-    """Convert a matching-system solution to a witness.
+def _witness_from_mu(n: int, alpha: Fraction, mu: int) -> tuple[Witness, int, Optional[str]]:
+    """Convert the twist factor mu of a row to a witness.
 
     Returns ``(witness, scale, discrepancy)``.  The raw branch factor is
-    k_raw = 1/(u q^j) (1/(u p q) for n = 8); if k_raw/k is the j-th power of a
-    positive integer s for some branch k, the scale absorbs into (s p0, s q0)
-    and the plain integral system is solvable.  Otherwise the residual integer
-    scale m of k_raw = m/b is kept on the k = 1/b branch and the trace is
-    flagged.  All of it runs in int.
+    k_raw = mu/6; if k_raw/k is the j-th power of a positive integer s for
+    some branch k, the scale absorbs into (s p0, s q0) and the plain integral
+    system is solvable.  Otherwise the residual integer scale m of
+    k_raw = m/b is kept on the k = 1/b branch and the trace is flagged.  U and
+    V are homogeneous of degrees 4j and 6j, so mu = scale * 6k * s^j.
 
     1/b is always a branch: A = -27 k_raw^4 U(p0, q0) and
     B = +-54 k_raw^6 V(p0, q0) are integers, so b^4 | 27 U and b^6 | 54 V;
     a prime dividing both values divides Res(U, V), and the check at each of
     its primes leaves exactly the denominators of the branch set
-    (``test_branch_denominators_by_resultant``).
+    (``test_branch_denominators_by_resultant``).  So b | 6, and mu = 6 k_raw
+    is an integer whenever it is rational.
     """
     fam = FAMILIES[n]
     p0 = fam.sigma * alpha.numerator
     q0 = alpha.denominator
     j = fam.scale_power
-    # k_raw = m/b in lowest terms; u > 0
-    m = u.denominator
-    b = u.numerator * (abs(p0) * q0 if n == 8 else q0**j)
-    g = math.gcd(m, b)
-    m, b = m // g, b // g
+    # k_raw = m/b in lowest terms
+    g = math.gcd(mu, 6)
+    m, b = mu // g, 6 // g
     for k in fam.kset:
         num, den = m * k.denominator, b * k.numerator
         if num % den == 0:
@@ -325,12 +329,14 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     (``_cached_roots``): a curve without rows gets None at once, and once
     one order has rows at j, every other order has none by Mazur's and
     Kenku's classification of rational cyclic isogenies, so it gets None
-    with no root search.  On every row, u, the witness (s p0, s q0,
-    k) and the mu check are computed in int.  U, V, X, Y are homogeneous of
-    degrees 4j, 6j, 2j, 3j, so with mu = scale * 6k * s^j the root's model must
-    satisfy mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and (x, y) -> (mu^2 x, mu^3 y),
-    which keeps orders, puts its points on c's 6-twist.  As mu l u = 6 on the
-    model (l^4 A_n, l^6 B_n), l = q0^j (|p0| q0 if n = 8), it also checks u.
+    with no root search.  On each row the twist factor is read off the
+    root's model (F0, G0), in int: mu^2 = 36 B F0 / (A G0).  The model has
+    c's j-invariant (checked when the row was built), so mu^4 F0 = 6^4 A and
+    mu^6 G0 = 6^6 B, and (x, y) -> (mu^2 x, mu^3 y), which keeps orders, must
+    put the row's points on c's 6-twist.  mu is rational exactly when the row
+    fits c, and then an integer (``_witness_from_mu``).  As
+    (F0, G0) = (l^4 A_n(alpha), l^6 B_n(alpha)), l = q0^j (|p0| q0 if n = 8),
+    u = 6/(mu l) solves the matching system; it is computed for the trace.
     """
     fam = family(n)
     A, B = c.A, c.B
@@ -343,29 +349,19 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
         return None
     A6, B6 = 1296 * A, 46656 * B
     best: Optional[DetectionTrace] = None
-    for alpha, an, ad, bn, bd, F0, G0, points in rows:
-        # u^2 = A bn ad / (B bd an) = r^2 / t^2 in lowest terms
-        un, ud = A * bn * ad, B * bd * an
-        h = math.gcd(un, ud) if ud > 0 else -math.gcd(un, ud)
-        un, ud = un // h, ud // h
-        if un <= 0:
+    for alpha, F0, G0, points in rows:
+        mu2, rest = divmod(36 * B * F0, A * G0)
+        if rest or mu2 <= 0 or math.isqrt(mu2) ** 2 != mu2:
             continue
-        r, t = math.isqrt(un), math.isqrt(ud)
-        if r * r != un or t * t != ud:
-            continue
-        u = Fraction(r, t)
-        witness, scale, note = _witness_from_alpha_u(n, alpha, u)
-        k, s = witness.k, witness.q // alpha.denominator
-        mu = scale * (6 * k.numerator // k.denominator) * s**fam.scale_power
-        if mu**4 * F0 != A6 or mu**6 * G0 != B6:
-            raise FamilyDataError("witness failed the 6-scaled system validation")
-        sx, sy = mu**2, mu**3
+        mu = math.isqrt(mu2)
+        sx, sy = mu2, mu2 * mu
         if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
             raise FamilyDataError("witness points do not map onto the curve's 6-twist")
-        trace = DetectionTrace(
-            alpha=alpha, u=u, witness=witness, scale=scale, discrepancy=note
-        )
-        if trace.discrepancy is None:
+        witness, scale, note = _witness_from_mu(n, alpha, mu)
+        q0 = alpha.denominator
+        lam = abs(alpha.numerator) * q0 if n == 8 else q0**fam.scale_power
+        trace = DetectionTrace(alpha, Fraction(6, mu * lam), witness, scale, note)
+        if note is None:
             return trace
         if best is None:
             best = trace

@@ -185,6 +185,24 @@ class TestGenerateCurve:
         with pytest.raises(SideConditionError, match=f"^k = {k} has a zero denominator$"):
             Witness(5, 2, 1, k)
 
+    @pytest.mark.parametrize("p, q", [(2.5, 1), ("2", 1), (True, 1), (F(1, 2), 1),
+                                      (2, 1.0), (2, None), (2, False)])
+    def test_non_integer_coordinates_are_type_errors(self, p, q):
+        with pytest.raises(TypeError, match="^witness coordinates p and q must be integers$"):
+            Witness(5, p, q, 1)
+
+    @pytest.mark.parametrize("k, shown, why", [
+        ("abc", "abc", "is not a rational"),
+        (None, "None", "is not a rational"),
+        (float("nan"), "nan", "is not a rational"),
+        (float("inf"), "inf", "is not a rational"),
+        ("x" * 60, "x" * 40, "is not a rational"),
+        ("1" * 60 + "/0", "1" * 40, "has a zero denominator"),
+    ])
+    def test_non_rational_k_is_typed(self, k, shown, why):
+        with pytest.raises(SideConditionError, match=f"^k = {shown} {why}$"):
+            Witness(5, 2, 1, k)
+
     def test_non_integral_model_uses_six_twist(self):
         rec = generate_curve(Witness(8, 2, 1, F(1, 2)))
         assert rec.form == "fg6"
@@ -282,15 +300,18 @@ class TestDetect:
     def test_cache_hit_evaluates_no_tate_value(self, monkeypatch):
         thue._root_cache.cache_clear()
         c = Curve(-43, 166)
-        alpha = detect(c, 7).alpha
 
         def forbidden(*args):
-            raise AssertionError("a root-cache hit evaluated Tate values or fg_forms")
+            raise AssertionError("a root search or a root-cache hit evaluated Tate "
+                                 "values or fg_forms")
 
         monkeypatch.setattr(families.ThueFamily, "tate_value", forbidden)
         monkeypatch.setattr(families, "fg_forms", forbidden)
         monkeypatch.setattr(thue, "fg_forms", forbidden)
+        # a miss on the cold cache builds the rows, and the twists hit them
+        alpha = detect(c, 7).alpha
         traces = {u: detect(twist_scale(c, u), 7) for u in (2, 3, 7)}
+        assert thue._root_cache.cache_info()[:2] == (3, 1)  # (hits, misses)
         assert all(trace.alpha == alpha for trace in traces.values())
         for u in (2, 7):
             assert traces[u].discrepancy.startswith("no integral solution of the plain system")
@@ -411,30 +432,37 @@ class TestDetectProofs:
             assert dens == {k.denominator for k in fam.kset}, n
 
     def test_mu_check_is_the_matching_system(self):
-        # detect checks a row once: with lambda = q0^j (|p0| q0 for n = 8)
-        # the row's model is (F0, G0) = (lambda^4 A_n, lambda^6 B_n), and the
-        # witness gives mu = scale * 6k * s^j = 6/(lambda u).  So
-        # mu^4 F0 = 6^4 A holds exactly when u^4 A = A_n(alpha), and
-        # mu^6 G0 = 6^6 B exactly when u^6 B = B_n(alpha)
+        # detect reads mu^2 = 36 B F0 / (A G0) off a row's model.  With
+        # lambda = q0^j (|p0| q0 for n = 8) the model is
+        # (F0, G0) = (lambda^4 A_n, lambda^6 B_n), so mu = 6/(lambda u):
+        # mu is rational exactly when the matching system has a rational u,
+        # and then an integer (1/b is a branch, so b | 6); the j-invariant
+        # check on the row gives mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and the
+        # witness gives mu = scale * 6k * s^j
         positive, flagged = 0, 0
         for w in _planted_witnesses(3):
             planted = _integral_curve(w)
+            fam = FAMILIES[w.n]
             for v in (1, 2, 3, 5, 6):
                 c = twist_scale(planted, v)
-                for alpha, an, ad, bn, bd, F0, G0, _ in _rows(c, w.n):
-                    An, Bn = F(an, ad), F(bn, bd)
-                    u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
-                    if u is None:
-                        continue
-                    u = abs(u)
-                    witness, scale, note = thue._witness_from_alpha_u(w.n, alpha, u)
-                    fam = FAMILIES[w.n]
-                    s = witness.q // alpha.denominator
-                    mu = scale * (6 * witness.k) * s**fam.scale_power
+                for alpha, F0, G0, _ in _rows(c, w.n):
+                    An, Bn = fam.tate_value(alpha)
                     p0, q0 = fam.sigma * alpha.numerator, alpha.denominator
                     lam = abs(p0) * q0 if w.n == 8 else q0**fam.scale_power
-                    assert mu * lam * u == 6, (c, w.n, alpha)
                     assert (F0, G0) == (lam**4 * An, lam**6 * Bn), (c, w.n, alpha)
+                    mu = rational_square_root(F(36 * c.B * F0, c.A * G0))
+                    u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
+                    assert (mu is None) == (u is None), (c, w.n, alpha)
+                    if u is None:
+                        continue
+                    mu, u = abs(mu), abs(u)
+                    assert mu.denominator == 1, (c, w.n, alpha)
+                    assert mu * lam * u == 6, (c, w.n, alpha)
+                    assert (mu**4 * F0, mu**6 * G0) == (1296 * c.A, 46656 * c.B)
+                    witness, scale, _, note = fraction_witness_from_alpha_u(w.n, alpha, u)
+                    assert thue._witness_from_mu(w.n, alpha, int(mu)) == (witness, scale, note)
+                    s = witness.q // q0
+                    assert mu == scale * 6 * witness.k * s**fam.scale_power
                     positive += 1
                     flagged += note is not None
         # the corpus holds rows whose twist the witness absorbs and rows
@@ -591,14 +619,14 @@ class TestPositiveMissCost:
         # and answer with the first row only when no row is clean
         c = Curve(-43, 166)
         rows = _rows(c, 7)
-        real = thue._witness_from_alpha_u
+        real = thue._witness_from_mu
         flagged = {rows[0][0]}
 
-        def flag(n, alpha, u):
-            witness, scale, note = real(n, alpha, u)
+        def flag(n, alpha, mu):
+            witness, scale, note = real(n, alpha, mu)
             return witness, scale, "flagged" if alpha in flagged else note
 
-        monkeypatch.setattr(thue, "_witness_from_alpha_u", flag)
+        monkeypatch.setattr(thue, "_witness_from_mu", flag)
         trace = detect(c, 7)
         alpha = rows[1][0]
         An, Bn = FAMILIES[7].tate_value(alpha)
@@ -772,8 +800,9 @@ def test_generate_curve_matches_fraction_reference(branch, p, q):
 
 
 def fraction_witness_from_alpha_u(n: int, alpha: F, u: F):
-    """Reference: the witness conversion of ``thue._witness_from_alpha_u``,
-    in Fraction."""
+    """Reference: the witness conversion of ``thue._witness_from_mu``, in
+    Fraction and from the matching system's u, with k_raw = 1/(u q0^j)
+    (1/|u p0 q0| for n = 8) in place of mu/6."""
     fam = FAMILIES[n]
     p0 = fam.sigma * alpha.numerator
     q0 = alpha.denominator
