@@ -85,28 +85,28 @@ def evertse_bound(r: int, t: int) -> int:
     for a degree-r binary form equation whose right side has t prime factors."""
     if r < 3:
         raise ValueError("the bound applies to forms of degree at least 3")
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise TypeError("t must be an integer")
     if t < 0:
         raise ValueError("t must be nonnegative")
     c = math.comb(r, 3)
     return 7 ** (15 * (c + 1) ** 2) + 6 * 7 ** (2 * c * (t + 1))
 
 
-_MAZUR_EXPONENTS = {  # n -> (first exponent, per-(t+1) exponent)
-    **dict.fromkeys((2, 4, 6, 8, 10, 12), (60, 2)),
-    **dict.fromkeys((3, 9), (375, 8)),
-    5: (1815, 20),
-    7: (19440, 70),
+_MAZUR_DEGREES = {  # n -> the form degree r whose evertse_bound is M_n
+    **dict.fromkeys((2, 4, 6, 8, 10, 12), 3),
+    **dict.fromkeys((3, 9), 4),
+    5: 5,
+    7: 7,
 }
 
 
 def mazur_count_bound(n: int, t: int) -> CountBound:
-    """The printed closed forms: M_2 for even n, M_3 = M_9, M_5, and M_7."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if n not in _MAZUR_EXPONENTS:
+    """The printed closed forms: M_2 for even n, M_3 = M_9, M_5, and M_7,
+    each ``evertse_bound`` at the degree that ``_MAZUR_DEGREES`` names."""
+    if n not in _MAZUR_DEGREES:
         raise ValueError(f"n = {n} is not one of the possible torsion orders")
-    a, b = _MAZUR_EXPONENTS[n]
-    return CountBound(n=n, t=t, value=7**a + 6 * 7 ** (b * (t + 1)))
+    return CountBound(n=n, t=t, value=evertse_bound(_MAZUR_DEGREES[n], t))
 
 
 def prime_factor_count(delta: int, trial_limit: int = 10**6) -> int:

@@ -64,15 +64,12 @@ class Witness:
 @dataclass(frozen=True)
 class DetectionTrace:
     """Solution of the matching system u**4 A = A_n(alpha), u**6 B = B_n(alpha),
-    converted to a family witness; ``detect`` reads u and the witness off the
-    twist factor of the root's model.
+    converted to a family witness.
 
     ``u2`` is the branch denominator ``witness.k.denominator`` (the part of
     the twist that cannot be absorbed into integers; always in {1, 2, 3}),
-    read off the witness, and ``scale`` the residual integer multiplier: the
-    curve satisfies
-    6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q)
-    (``detect`` maps the root's model and its points onto c's 6-twist).
+    and ``scale`` the residual integer multiplier: the curve satisfies
+    6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q).
     ``discrepancy`` is set when the plain integral system (scale absorbed into
     (p, q)) has no solution even though the matching system does.
     """
@@ -104,12 +101,8 @@ def eval_FG(w: Witness) -> tuple[int, int]:
 
 
 def order_n_points(w: Witness) -> list[Point]:
-    """The printed order-n points on the curve with coefficients ``eval_AB(w)``.
-
-    Every returned point is checked on the integral 6-twist, in int, to lie
-    on the curve and to have exact order n; any failure is a hard error (it
-    would mean a table bug, not a data condition).
-    """
+    """The printed order-n points on the curve with coefficients ``eval_AB(w)``,
+    checked on its integral 6-twist by ``_checked_model``."""
     return [_witness_point(x, y) for x, y in _six_twist_points(w)[2]]
 
 
@@ -128,8 +121,7 @@ def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple
     points and all their multiples are integral (Nagell-Lutz), so the checks
     run in int: nonsingular, every point on the curve and of exact order n.
     The points are returned interleaved, (x, y) then (x, -y) for each printed
-    x, so ``points[::2]`` holds one point of each pair; as -P has the order of
-    P, the order is checked once per pair, on (x, y).
+    x; as -P has the order of P, the order is checked once per pair, on (x, y).
     """
     fam = FAMILIES[n]
     F, G = -27 * S**4 * fam.U(p, q), fam.b_sign * 54 * S**6 * fam.V(p, q)
@@ -204,12 +196,10 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     The root set depends on the curve only through j = a/b (lowest terms,
     b > 0), so M is built as 4 (1728 b - a) numA^3 - 27 a numB^2, which is
     186624 M / t for the t with 4 A^3 + 27 B^2 = t b.  It holds a row
-    (alpha, F0, G0, points) for each root, where (F0, G0, points) is
-    ``_checked_model`` at S = 1 and (sigma * alpha.numerator,
-    alpha.denominator), with one point of each pair (x, +-y): ``detect``'s
-    point-map check squares mu^3 y.  Each model is checked once, here, to
-    have j-invariant a/b: 4 (1728 b - a) F0^3 = 27 a G0^2.  So a hit
-    evaluates no Tate value, form or order.
+    (alpha, F0, G0) for each root: the model that ``_checked_model`` checks
+    at S = 1 and (sigma * alpha.numerator, alpha.denominator), checked once
+    more, here, to have j-invariant a/b: 4 (1728 b - a) F0^3 = 27 a G0^2.
+    So a hit evaluates no Tate value, form or order.
 
     The roots are found by ``rational_roots`` under the family's
     ``symmetry``: a point of order n gives M the whole orbit of its alpha
@@ -231,11 +221,11 @@ def _matching_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     roots = sorted(rational_roots(M, fam.symmetry),
                    key=lambda r: (r <= 0, r.denominator, abs(r.numerator)))
     for alpha in roots:
-        F0, G0, points = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
+        F0, G0, _ = _checked_model(n, fam.sigma * alpha.numerator, alpha.denominator, 1)
         if 4 * (1728 * b - a) * F0**3 != 27 * a * G0**2:
             raise FamilyDataError(f"the root model at alpha = {rational_to_decimal(alpha)} "
                                   "failed the 6-scaled system validation: wrong j-invariant")
-        rows.append((alpha, F0, G0, tuple(points[::2])))
+        rows.append((alpha, F0, G0))
     return tuple(rows)
 
 
@@ -252,22 +242,21 @@ def _cached_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     and not at all once another order has rows at this j.
 
     Rows for one order rule out every other order at the same j, so such an
-    order gets () with no matching polynomial and no root search:
+    order gets () with no root search:
 
     - A row for order k is a root alpha whose primitive model (F0, G0) has
       j-invariant j and a checked point P of exact order k.
-    - For j not in {0, 1728}, every curve with this j is a quadratic twist
-      of that model.  A twist is an isomorphism over a quadratic field that
-      commutes with Galois up to the sign -1, so it sends the cyclic group
-      <P> to a Galois-stable cyclic group: every curve with this j has a
-      rational cyclic k-isogeny.
+    - Such a j is not 0 or 1728 (``_matching_roots``), so every curve with
+      this j is a quadratic twist of that model.  A twist is an isomorphism
+      over a quadratic field that commutes with Galois up to the sign -1, so
+      it sends the cyclic group <P> to a Galois-stable cyclic group: every
+      curve with this j has a rational cyclic k-isogeny.
     - A point of order n on such a curve gives a second one, of degree n.
       Any two of 5, 7, 8 and 9 are coprime, so the two kernels generate a
       Galois-stable cyclic group of order kn in {35, 40, 45, 56, 63, 72}.
       No elliptic curve over Q has a rational cyclic isogeny of any of these
       degrees: the degrees that occur are 1 to 19, 21, 25, 27, 37, 43, 67
       and 163 (Mazur 1978 for prime degrees, Kenku 1979-81 for the rest).
-    - j = 0 and j = 1728 have rows for no order (see ``_matching_roots``).
 
     So the rows are those of ``_matching_roots`` whatever the order in which
     the orders are asked for.
@@ -321,21 +310,23 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
 
     Returns None exactly when no such point exists.  When one exists, returns
     the matching-system solution (alpha, u) converted to a family witness;
-    traces with a set ``discrepancy`` still certify presence.  Curves with
-    A*B = 0 need no special case: the matching polynomial becomes a multiple
-    of numA**3 or numB**2, neither of which has a rational root.
+    traces with a set ``discrepancy`` still certify presence.
 
-    The roots come from the root cache, one entry per j for every order
-    (``_cached_roots``): a curve without rows gets None at once, and once
-    one order has rows at j, every other order has none by Mazur's and
-    Kenku's classification of rational cyclic isogenies, so it gets None
-    with no root search.  On each row the twist factor is read off the
-    root's model (F0, G0), in int: mu^2 = 36 B F0 / (A G0).  The model has
-    c's j-invariant (checked when the row was built), so mu^4 F0 = 6^4 A and
-    mu^6 G0 = 6^6 B, and (x, y) -> (mu^2 x, mu^3 y), which keeps orders, must
-    put the row's points on c's 6-twist.  mu is rational exactly when the row
-    fits c, and then an integer (``_witness_from_mu``).  As
-    (F0, G0) = (l^4 A_n(alpha), l^6 B_n(alpha)), l = q0^j (|p0| q0 if n = 8),
+    The rows come from the root cache (``_cached_roots``): a curve without
+    rows, and an order that another order's rows at j rule out, get None at
+    once; a miss runs one root search (``_matching_roots``); a hit is a few
+    int products and one ``_witness_from_mu`` per row it passes.
+
+    On each row the twist factor is read off the root's model (F0, G0) in
+    int: mu^2 = 36 B F0 / (A G0), where A B != 0 as j = 0 and 1728 have no
+    rows.  The row was built with c's j-invariant, B^2 F0^3 = A^3 G0^2, so
+    mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and with every printed point (x, y)
+    on y^2 = x^3 + F0 x + G0, so (mu^2 x, mu^3 y) lies on c's 6-twist
+    y^2 = x^3 + 6^4 A x + 6^6 B, with the same order.  So the row fits c
+    exactly when mu is rational, and then mu is an integer
+    (``_witness_from_mu``); a row whose mu^2 is no positive integer square
+    (a quadratic twist of c) is passed over.  As (F0, G0) =
+    (l^4 A_n(alpha), l^6 B_n(alpha)), l = q0^j (|p0| q0 if n = 8),
     u = 6/(mu l) solves the matching system; it is computed for the trace.
     """
     fam = family(n)
@@ -347,16 +338,12 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     rows = _cached_roots(n, ja // g, jb // g)
     if not rows:
         return None
-    A6, B6 = 1296 * A, 46656 * B
     best: Optional[DetectionTrace] = None
-    for alpha, F0, G0, points in rows:
+    for alpha, F0, G0 in rows:
         mu2, rest = divmod(36 * B * F0, A * G0)
         if rest or mu2 <= 0 or math.isqrt(mu2) ** 2 != mu2:
             continue
         mu = math.isqrt(mu2)
-        sx, sy = mu2, mu2 * mu
-        if any((sy * y) ** 2 != (sx * x) ** 3 + A6 * sx * x + B6 for x, y in points):
-            raise FamilyDataError("witness points do not map onto the curve's 6-twist")
         witness, scale, note = _witness_from_mu(n, alpha, mu)
         q0 = alpha.denominator
         lam = abs(alpha.numerator) * q0 if n == 8 else q0**fam.scale_power
@@ -383,24 +370,15 @@ def brute_force_witness_search(
     branches = fam.kset if ks is None else tuple(Fraction(k) for k in ks)
     target_f = 1296 * c.A
     target_g = 46656 * c.B
+    box = [v for v in range(-bound, bound + 1) if v]
     found = []
     for k in branches:
         cf, cg = fg_forms(n, k)
-        d = fam.U.degree
-        for q in range(-bound, bound + 1):
-            if q == 0:
-                continue
-            # U(p, q) as a polynomial in p for fixed q, scaled by cf
-            qp = [cf * coeff * q ** (d - i) for i, coeff in enumerate(fam.U.coeffs)]
-            for p in range(-bound, bound + 1):
-                if p == 0 or not fam.side_conditions_ok(p, q):
+        for q in box:
+            for p in box:
+                if not fam.side_conditions_ok(p, q):
                     continue
-                acc = 0
-                for coeff in reversed(qp):
-                    acc = acc * p + coeff
-                if acc != target_f:
-                    continue
-                if cg * fam.V(p, q) == target_g:
+                if cf * fam.U(p, q) == target_f and cg * fam.V(p, q) == target_g:
                     found.append(Witness(n, p, q, k))
     found.sort(key=lambda w: (w.p, w.q, w.k))
     return found

@@ -152,6 +152,13 @@ class TestMazurCountBound:
             values = [mazur_count_bound(n, t).value for t in range(6)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("t", [1.5, 2.0, F(2), "2", None, True, False])
+    def test_non_integer_t_is_a_type_error(self, t):
+        with pytest.raises(TypeError, match="^t must be an integer$"):
+            mazur_count_bound(5, t)
+        with pytest.raises(TypeError, match="^t must be an integer$"):
+            evertse_bound(5, t)
+
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             mazur_count_bound(11, 0)

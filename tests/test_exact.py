@@ -425,6 +425,28 @@ class TestFactorize:
         assert factorize(2**89 - 1, trial_limit=1000) == ({}, 2**89 - 1)
         assert factorize(41, trial_limit=2) == ({41: 1}, 1)
 
+    def test_the_proof_rests_on_the_first_thirteen_prime_bases(self):
+        # Sorenson and Webster (Math. Comp. 2017): below _SPRP_BOUND, these
+        # 13 bases prove primality; with one base fewer or another base a
+        # composite passes
+        assert exact._SPRP_BASES == tuple(sympy.prime(i) for i in range(1, 14))
+        # a strong pseudoprime to the bases 2 to 37 that only base 41 rejects
+        n = 399165290221 * 798330580441
+        assert n == 318665857834031151167461
+        assert [a for a in exact._SPRP_BASES if not exact._is_sprp(n, a)] == [41]
+        assert factorize(n) == ({}, n)
+        # the bound is composite and passes all 13 bases
+        n = exact._SPRP_BOUND
+        assert n == 3317044064679887385961981 and not sympy.isprime(n)
+        assert all(exact._is_sprp(n, a) for a in exact._SPRP_BASES)
+        assert factorize(n) == ({}, n)
+
+    def test_default_trial_limit(self):
+        # both primes lie between the default limit 10**6 and 10**7
+        m = 1000003 * 1000033
+        assert factorize(m) == ({}, 1000036000099)
+        assert factorize(m, trial_limit=10**7) == ({1000003: 1, 1000033: 1}, 1)
+
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(m=st.one_of(st.integers(-10**10, 10**10).filter(bool),
                        st.builds(lambda b, e, c: b**e * c, st.integers(1, 4000),

@@ -35,7 +35,7 @@ from torsionforms import (
     torsion_structure,
     twist_scale,
 )
-from torsionforms import curves, exact, families, thue
+from torsionforms import curves, exact, families, thue, torsion
 from torsionforms.exact import (
     int_to_decimal,
     integer_nth_root,
@@ -398,10 +398,7 @@ class TestDetectProofs:
     the suite red before it reaches detect."""
 
     def test_matching_polynomial_is_nonzero_at_zero(self):
-        # with numA(0) = -27 and numB(0) = 54, M(0) = -136048896 b and b > 0:
-        # M is never the zero polynomial and alpha = 0, the pole of A_8 and
-        # B_8, is never a root (the Tate numerators have no rational root at
-        # all: test_families.py::test_tate_coefficients_have_no_rational_roots)
+        # the no-filter proof of thue._matching_roots' docstring
         for fam in FAMILIES.values():
             assert (fam.tate_A_num(0), fam.tate_B_num(0)) == (-27, 54)
         a, b = sympy.symbols("a b")
@@ -409,11 +406,8 @@ class TestDetectProofs:
         assert sympy.expand(M0 + 136048896 * b) == 0
 
     def test_branch_denominators_by_resultant(self):
-        # detect's k_raw = m/b (lowest terms) gives the integers
-        # A = -27 k_raw^4 U(p0, q0) and B = +-54 k_raw^6 V(p0, q0) with
-        # gcd(p0, q0) = 1, so b^4 | 27 U and b^6 | 54 V.  A prime ell != 2, 3
-        # dividing b divides U and V, hence their resultant; each prime of
-        # 6 Res(U, V) bounds its power in b locally.
+        # the b | 6 proof of thue._witness_from_mu's docstring: each prime of
+        # 6 Res(U, V) bounds its power in b locally
         x = sympy.symbols("x")
         for n, fam in FAMILIES.items():
             U = sympy.Poly(fam.U.coeffs[::-1], x)
@@ -432,20 +426,16 @@ class TestDetectProofs:
             assert dens == {k.denominator for k in fam.kset}, n
 
     def test_mu_check_is_the_matching_system(self):
-        # detect reads mu^2 = 36 B F0 / (A G0) off a row's model.  With
-        # lambda = q0^j (|p0| q0 for n = 8) the model is
-        # (F0, G0) = (lambda^4 A_n, lambda^6 B_n), so mu = 6/(lambda u):
-        # mu is rational exactly when the matching system has a rational u,
-        # and then an integer (1/b is a branch, so b | 6); the j-invariant
-        # check on the row gives mu^4 F0 = 6^4 A and mu^6 G0 = 6^6 B, and the
-        # witness gives mu = scale * 6k * s^j
+        # the mu algebra of thue.detect's docstring, on every row: mu is
+        # rational exactly when the matching system has a rational u, and
+        # then every printed point of the row's model maps onto c's 6-twist
         positive, flagged = 0, 0
         for w in _planted_witnesses(3):
             planted = _integral_curve(w)
             fam = FAMILIES[w.n]
             for v in (1, 2, 3, 5, 6):
                 c = twist_scale(planted, v)
-                for alpha, F0, G0, _ in _rows(c, w.n):
+                for alpha, F0, G0 in _rows(c, w.n):
                     An, Bn = fam.tate_value(alpha)
                     p0, q0 = fam.sigma * alpha.numerator, alpha.denominator
                     lam = abs(p0) * q0 if w.n == 8 else q0**fam.scale_power
@@ -459,8 +449,13 @@ class TestDetectProofs:
                     assert mu.denominator == 1, (c, w.n, alpha)
                     assert mu * lam * u == 6, (c, w.n, alpha)
                     assert (mu**4 * F0, mu**6 * G0) == (1296 * c.A, 46656 * c.B)
+                    mu = int(mu)
+                    _, _, points = thue._checked_model(w.n, p0, q0, 1)
+                    for x, y in points:
+                        x, y = mu**2 * x, mu**3 * y
+                        assert y * y == x**3 + 1296 * c.A * x + 46656 * c.B, (c, w.n, alpha)
                     witness, scale, _, note = fraction_witness_from_alpha_u(w.n, alpha, u)
-                    assert thue._witness_from_mu(w.n, alpha, int(mu)) == (witness, scale, note)
+                    assert thue._witness_from_mu(w.n, alpha, mu) == (witness, scale, note)
                     s = witness.q // q0
                     assert mu == scale * 6 * witness.k * s**fam.scale_power
                     positive += 1
@@ -502,22 +497,6 @@ class TestPositivePath:
         Y = fam.point_y
         monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(fam, point_y=(2 * Y[0],) + Y[1:]))
         with pytest.raises(FamilyDataError, match="is off the n = 7 curve"):
-            detect(Curve(-43, 166), 7)
-
-    def test_points_off_the_six_twist_rejected(self, monkeypatch, cold_root_cache):
-        # points moved onto the 2-twist of the root's model are exact
-        # order-7 points of another curve: only the map onto c's 6-twist
-        # in detect can reject them
-        real = thue._checked_model
-
-        def on_the_two_twist(n, p, q, S):
-            F_val, G_val, points = real(n, p, q, S)
-            assert all(64 * y * y == (4 * x) ** 3 + 16 * F_val * 4 * x + 64 * G_val
-                       for x, y in points)
-            return F_val, G_val, [(4 * x, 8 * y) for x, y in points]
-
-        monkeypatch.setattr(thue, "_checked_model", on_the_two_twist)
-        with pytest.raises(FamilyDataError, match="do not map onto the curve's 6-twist"):
             detect(Curve(-43, 166), 7)
 
     @pytest.mark.parametrize("index", [0, 1])
@@ -606,11 +585,14 @@ class TestPositiveMissCost:
         assert [P.y for P in points[1::2]] == [-P.y for P in points[::2]]
 
     def test_rows_keep_one_point_per_pair(self, cold_root_cache):
-        c = Curve(-43, 166)
-        for alpha, *_, F0, G0, points in _rows(c, 7):
-            fam = FAMILIES[7]
-            model = thue._checked_model(7, fam.sigma * alpha.numerator, alpha.denominator, 1)
-            assert (F0, G0, points) == (model[0], model[1], tuple(model[2][::2]))
+        # a row keeps the root and its checked model, and no point
+        fam = FAMILIES[7]
+        rows = _rows(Curve(-43, 166), 7)
+        assert len(rows) == 3
+        for row in rows:
+            alpha = row[0]
+            F0, G0, _ = thue._checked_model(7, fam.sigma * alpha.numerator, alpha.denominator, 1)
+            assert row == (alpha, F0, G0)
 
     def test_discrepancy_row_before_the_clean_row(self, monkeypatch):
         # rows of one curve either all absorb the twist or none does (the
@@ -648,9 +630,9 @@ def _twists(c: Curve) -> list:
 
 
 class TestCrossOrderRule:
-    """Rows for one order at j rule out every other order at j (no curve over
-    Q has a rational cyclic isogeny of degree 35, 40, 45, 56, 63 or 72), so
-    the root cache answers the other orders without a root search."""
+    """Rows for one order at j rule out every other order at j (the proof is
+    in thue._cached_roots' docstring), so the root cache answers the other
+    orders without a root search."""
 
     @pytest.mark.parametrize("w", _planted_witnesses(3), ids=repr)
     def test_other_orders_have_no_roots(self, w):
@@ -716,6 +698,52 @@ class TestCrossOrderRule:
             assert {query: detect(*query) for query in drawn} == ascending
         finally:
             thue._root_cache.cache_clear()
+
+
+def _velu_quotient(c: Curve, P: Point, n: int) -> Curve:
+    """E/<P> for a point P of order n on the integral curve c, by Velu's
+    formulas (C. R. Acad. Sci. Paris 273, 1971): A' = A - 5v, B' = B - 7w,
+    summed over the kernel points Q = mP, 1 <= m <= n/2 (one of each pair
+    +-Q), with v_Q = 3 x^2 + A, doubled unless Q has order 2, and
+    w_Q = 4 y^2 + x v_Q."""
+    v = w = 0
+    for m in range(1, n // 2 + 1):
+        Q = scalar_mul(c, m, P)
+        vQ = (3 * Q.x**2 + c.A) * (1 if Q.y == 0 else 2)
+        v, w = v + vQ, w + 4 * Q.y**2 + Q.x * vQ
+    A, B = F(c.A - 5 * v), F(c.B - 7 * w)
+    # torsion points of an integral model are integral (Nagell-Lutz)
+    assert A.denominator == B.denominator == 1
+    return Curve(int(A), int(B))
+
+
+class TestVeluQuotients:
+    """detect on the quotient E' = E/<P> of a planted curve by its point of
+    order n.  E' is n-isogenous to E, so n divides #E'(F_p) at every good p
+    and no point count refutes n, yet E' mostly has no point of order n:
+    these negatives reach the root search."""
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(p=st.integers(-6, 6), q=st.integers(1, 6))
+    def test_detect_agrees_with_the_oracle(self, branch, p, q):
+        n, k = branch
+        try:
+            F_val, G_val, points = thue._six_twist_points(Witness(n, p, q, k))
+        except (SideConditionError, DegenerateParameterError):
+            reject()
+        c = Curve(F_val, G_val)
+        quotient = _velu_quotient(c, Point(*points[0]), n)
+        # an isogeny keeps the point counts
+        for ell in (5, 7, 11, 13):
+            if c.disc % ell and quotient.disc % ell:
+                counts = {torsion._count_points(e.A, e.B, ell) for e in (c, quotient)}
+                assert len(counts) == 1 and counts.pop() % n == 0, (c, quotient, ell)
+        assert (detect(quotient, n) is not None) == has_point_of_order(quotient, n), quotient
+        for m in FAMILY_ORDERS:
+            if m != n:
+                assert detect(quotient, m) is None, (quotient, m)
 
 
 def fraction_order_n_points(w: Witness) -> list:
@@ -923,6 +951,14 @@ class TestBruteForce:
         assert hits
         assert any(w.p == w.q for w in hits)  # diagonal-ray witnesses
 
+    def test_box_has_both_ends(self):
+        # the order-5 witnesses of this curve sit at |p|, |q| = 1, 2: bound 1
+        # must miss them all and bound 2 find each one
+        c = Curve(-27, 55350)
+        assert brute_force_witness_search(c, 5, 1) == []
+        assert [(w.p, w.q) for w in brute_force_witness_search(c, 5, 2)] == [
+            (-2, 1), (-1, -2), (1, 2), (2, -1)]
+
     def test_bound_one_scans_units_only(self):
         hits = brute_force_witness_search(Curve(-432, 8208), 5, 1)
         assert {(w.p, w.q) for w in hits} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -961,7 +997,7 @@ class TestParamCrossCheck:
 
     def test_order8_printed_constraint_fails_as_transcribed(self):
         rec = param_cross_check(8, 1, 2)
-        assert rec["printed_z_constraint_residual"] != 0
+        assert rec["printed_z_constraint_residual"] == 162
 
     def test_random_parameters(self):
         rng = random.Random(77)
