@@ -5,9 +5,6 @@ torsion oracle by division polynomials that never factors, Tate normal forms,
 the family discriminant table, and explicit solution-count bounds."""
 
 from .bounds import (
-    CountBound,
-    DISC_TABLE,
-    DiscFormula,
     disc_poly,
     evertse_bound,
     mazur_count_bound,
@@ -46,13 +43,10 @@ from .exact import (
 from .families import FAMILIES, FAMILY_ORDERS, PROVENANCE, ThueFamily, fg_forms
 from .records import CurveRecord
 from .tate import (
-    LongWeierstrass,
     TATE_ORDERS,
     interpolated_pipeline_poly,
-    long_to_short,
     tate_AB,
     tate_bc,
-    tate_long,
     tate_short_curve,
 )
 from .thue import (
@@ -77,17 +71,16 @@ from .torsion import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "CountBound", "Curve", "CurveRecord", "DISC_TABLE", "DegenerateParameterError",
-    "DetectionTrace", "DiscFormula", "FAMILIES", "FAMILY_ORDERS", "FamilyDataError",
-    "HomForm", "INFINITY", "IncompleteFactorizationError", "Infinity", "IntPoly",
-    "LongWeierstrass", "MAZUR_LABELS", "OffCurveError", "PROVENANCE", "Point",
-    "SideConditionError", "SingularCurveError", "TATE_ORDERS", "ThueFamily",
-    "TorsionReport", "Witness", "add", "brute_force_witness_search",
-    "detect", "disc_AB", "disc_poly", "eval_AB", "eval_FG", "evertse_bound",
-    "factorize", "fg_forms", "generate_curve", "has_point_of_order",
-    "interpolated_pipeline_poly", "long_to_short", "mazur_count_bound", "neg",
-    "on_curve", "order_n_points", "param_cross_check", "point_order",
-    "prime_factor_count", "rational_roots", "rational_square_root", "reduced_form",
-    "scalar_mul", "tate_AB", "tate_bc", "tate_long", "tate_short_curve",
+    "Curve", "CurveRecord", "DegenerateParameterError", "DetectionTrace",
+    "FAMILIES", "FAMILY_ORDERS", "FamilyDataError", "HomForm", "INFINITY",
+    "IncompleteFactorizationError", "Infinity", "IntPoly", "MAZUR_LABELS",
+    "OffCurveError", "PROVENANCE", "Point", "SideConditionError",
+    "SingularCurveError", "TATE_ORDERS", "ThueFamily", "TorsionReport", "Witness",
+    "add", "brute_force_witness_search", "detect", "disc_AB", "disc_poly",
+    "eval_AB", "eval_FG", "evertse_bound", "factorize", "fg_forms",
+    "generate_curve", "has_point_of_order", "interpolated_pipeline_poly",
+    "mazur_count_bound", "neg", "on_curve", "order_n_points", "param_cross_check",
+    "point_order", "prime_factor_count", "rational_roots", "rational_square_root",
+    "reduced_form", "scalar_mul", "tate_AB", "tate_bc", "tate_short_curve",
     "torsion_points", "torsion_structure", "twist_point", "twist_scale",
 ]

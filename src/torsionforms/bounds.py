@@ -6,28 +6,15 @@ solution-count bounds M_n(t)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IncompleteFactorizationError
 from .exact import HomForm, factorize, int_to_decimal
-
-DISC_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 #: table Degree column (the homogeneous degree after the n <= 4 substitutions)
 RAW_DEGREE = {2: 3, 3: 4, 4: 6, 5: 12, 7: 24, 8: 24, 9: 27}
 
 #: degree-reducing substitutions for the small orders
 REDUCTION = {2: "y^2 -> y", 3: "x^3 -> x", 4: "y^2 -> y"}
-
-
-@dataclass(frozen=True)
-class DiscFormula:
-    n: int
-    raw_degree: int
-    reduction: str | None
-
-
-DISC_TABLE = {n: DiscFormula(n, RAW_DEGREE[n], REDUCTION.get(n)) for n in DISC_ORDERS}
 
 
 def disc_poly(n: int, x: int, y: int) -> int:
@@ -70,16 +57,6 @@ def reduced_form(n: int) -> HomForm:
     raise ValueError(f"no degree reduction for n = {n}")
 
 
-@dataclass(frozen=True)
-class CountBound:
-    """Upper bound for the number of non-isomorphic curves with an order-n
-    point and a discriminant with t distinct prime factors."""
-
-    n: int
-    t: int
-    value: int
-
-
 def evertse_bound(r: int, t: int) -> int:
     """Primitive-solution bound 7**(15(C(r,3)+1)**2) + 6*7**(2 C(r,3) (t+1))
     for a degree-r binary form equation whose right side has t prime factors."""
@@ -101,12 +78,12 @@ _MAZUR_DEGREES = {  # n -> the form degree r whose evertse_bound is M_n
 }
 
 
-def mazur_count_bound(n: int, t: int) -> CountBound:
+def mazur_count_bound(n: int, t: int) -> int:
     """The printed closed forms: M_2 for even n, M_3 = M_9, M_5, and M_7,
     each ``evertse_bound`` at the degree that ``_MAZUR_DEGREES`` names."""
     if n not in _MAZUR_DEGREES:
         raise ValueError(f"n = {n} is not one of the possible torsion orders")
-    return CountBound(n=n, t=t, value=evertse_bound(_MAZUR_DEGREES[n], t))
+    return evertse_bound(_MAZUR_DEGREES[n], t)
 
 
 def prime_factor_count(delta: int, trial_limit: int = 10**6) -> int:

@@ -8,9 +8,11 @@ with k ranging over a small branch set, and the order-n points are
 
     ( 3 * k**2 * X_i(p, q),  +-108 * k**3 * Y_i(p, q) ).
 
-The same data in one-variable form: A_n(alpha) = tate_A_num(alpha)/alpha**a_pow
-(and likewise for B) are the short-model coefficients of the Tate normal form.
-The numerators are not transcribed but derived from the binary forms,
+The same data in one-variable form are the numerators of the Tate normal
+form's short-model coefficients, A_n(alpha) = tate_A_num(alpha)/alpha**a_pow
+and likewise for B, with A_n, B_n from ``tate.tate_AB`` and the alpha-powers
+(4, 6 for n = 8, else 0) from ``tate.interpolated_pipeline_poly``.  The
+numerators are not transcribed but derived from the binary forms,
 
     tate_A_num(x) = -27 * U_n(sigma*x, 1),   tate_B_num(x) = +-54 * V_n(sigma*x, 1),
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateParameterError
 from .exact import HomForm, IntPoly
 
 # convenience linear forms (coefficients ascending in p)
@@ -47,8 +48,6 @@ class ThueFamily:
     V: HomForm
     point_x: tuple[HomForm, ...]
     point_y: tuple[HomForm, ...]
-    tate_A_denpow: int
-    tate_B_denpow: int
     # the Moebius map alpha -> (a*alpha + b)/(c*alpha + d), as (a, b, c, d), of
     # a diamond automorphism of X_1(n): it keeps the curve (and j) and moves
     # the marked point P to a multiple dP, so it permutes the roots of detect's
@@ -79,19 +78,6 @@ class ThueFamily:
             return False
         return True
 
-    def tate_value(self, alpha) -> tuple[Fraction, Fraction]:
-        """(A_n(alpha), B_n(alpha)) from the transcribed tables."""
-        a = Fraction(alpha)
-        if self.tate_A_denpow and a == 0:
-            raise DegenerateParameterError(f"A_{self.n} has a pole at alpha = 0")
-        r, s = a.numerator, a.denominator
-        # num(r/s) / (r/s)**e = eval_pair(r, s) * s**e / (s**deg * r**e)
-        return tuple(
-            Fraction(num.eval_pair(r, s) * s**e, s**num.degree * r**e)
-            for num, e in ((self.tate_A_num, self.tate_A_denpow),
-                           (self.tate_B_num, self.tate_B_denpow))
-        )
-
 
 def _family_5() -> ThueFamily:
     U = HomForm(4, (1, -12, 14, 12, 1))
@@ -101,7 +87,6 @@ def _family_5() -> ThueFamily:
     return ThueFamily(
         n=5, kset=(Fraction(1),), sigma=-1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_denpow=0, tate_B_denpow=0,
         symmetry=(0, -1, 1, 0),  # alpha -> -1/alpha, of order 2
         degrees=(4, 6, 2, 3), nonzero_pq=True, p_ne_q=False, two_p_ne_q=False,
     )
@@ -123,7 +108,6 @@ def _family_7() -> ThueFamily:
     return ThueFamily(
         n=7, kset=(Fraction(1), Fraction(1, 3)), sigma=1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_denpow=0, tate_B_denpow=0,
         symmetry=(1, -1, 1, 0),  # alpha -> 1 - 1/alpha, of order 3
         degrees=(8, 12, 4, 6), nonzero_pq=True, p_ne_q=True, two_p_ne_q=False,
     )
@@ -143,7 +127,6 @@ def _family_8() -> ThueFamily:
     return ThueFamily(
         n=8, kset=(Fraction(1), Fraction(1, 2)), sigma=1, b_sign=-1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_denpow=4, tate_B_denpow=6,
         symmetry=(-1, 1, 0, 1),  # alpha -> 1 - alpha, of order 2
         degrees=(8, 12, 4, 6), nonzero_pq=False, p_ne_q=True, two_p_ne_q=True,
     )
@@ -169,7 +152,6 @@ def _family_9() -> ThueFamily:
     return ThueFamily(
         n=9, kset=(Fraction(1), Fraction(1, 3)), sigma=1, b_sign=1,
         U=U, V=V, point_x=X, point_y=Y,
-        tate_A_denpow=0, tate_B_denpow=0,
         symmetry=(1, -1, 1, 0),  # alpha -> 1 - 1/alpha, of order 3
         degrees=(12, 18, 6, 9), nonzero_pq=True, p_ne_q=True, two_p_ne_q=False,
     )

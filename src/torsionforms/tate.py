@@ -9,7 +9,6 @@ integral for n in {5, 7, 9} and with pure alpha-power denominators for n = 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import Curve, disc_AB
@@ -17,21 +16,6 @@ from .errors import DegenerateParameterError
 from .exact import IntPoly
 
 TATE_ORDERS = (4, 5, 6, 7, 8, 9, 10, 12)
-
-
-@dataclass(frozen=True)
-class LongWeierstrass:
-    """General Weierstrass model Y**2 + a1 XY + a3 Y = X**3 + a2 X**2 + a4 X + a6."""
-
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
 def tate_bc(n: int, alpha) -> tuple[Fraction, Fraction]:
@@ -65,29 +49,22 @@ def tate_bc(n: int, alpha) -> tuple[Fraction, Fraction]:
     raise ValueError(f"no Tate normal form case for n = {n}")
 
 
-def tate_long(n: int, alpha) -> LongWeierstrass:
-    b, c = tate_bc(n, alpha)
-    return LongWeierstrass(a1=1 - c, a2=-b, a3=-b, a4=Fraction(0), a6=Fraction(0))
-
-
-def long_to_short(lw: LongWeierstrass) -> tuple[Fraction, Fraction]:
-    """Complete the square and cube: returns (A, B) = (-27*c4, -54*c6)."""
-    b2 = lw.a1 * lw.a1 + 4 * lw.a2
-    b4 = 2 * lw.a4 + lw.a1 * lw.a3
-    b6 = lw.a3 * lw.a3 + 4 * lw.a6
-    c4 = b2 * b2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    return -27 * c4, -54 * c6
-
-
 def tate_AB(n: int, alpha) -> tuple[Fraction, Fraction]:
-    """Short-model coefficients (A_n(alpha), B_n(alpha)) through the full pipeline.
+    """Short-model coefficients (A_n(alpha), B_n(alpha)) = (-27*c4, -54*c6) of
+    the order-n Tate normal form at alpha.
 
     Values are returned even where the resulting model is singular; rejection
     happens only where a case formula itself degenerates: n=8 at alpha=0, and
     n=12 at alpha=1, the only rational zero of a case's denominator.
     """
-    return long_to_short(tate_long(n, alpha))
+    b, c = tate_bc(n, alpha)
+    # b-invariants of the long model: a1 = 1 - c, a2 = a3 = -b, a4 = a6 = 0
+    b2 = (1 - c) ** 2 - 4 * b
+    b4 = b * (c - 1)
+    b6 = b * b
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    return -27 * c4, -54 * c6
 
 
 def tate_short_curve(n: int, alpha) -> tuple[Curve, Fraction]:

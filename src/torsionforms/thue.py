@@ -21,6 +21,7 @@ from .exact import int_to_decimal, integer_nth_root, rational_roots, rational_sq
 from .exact import rational_to_decimal
 from .families import FAMILIES, ThueFamily, family, fg_forms
 from .records import CurveRecord
+from .tate import tate_AB
 from .torsion import CACHE_SIZE, torsion_structure
 
 
@@ -401,7 +402,7 @@ def param_cross_check(n: int, u, alpha) -> dict:
     fam = family(n)
     if n == 8 and alpha == 0:
         raise DegenerateParameterError("n = 8 formulas have a pole at alpha = 0")
-    An, Bn = fam.tate_value(alpha)
+    An, Bn = tate_AB(n, alpha)
     expect_A, expect_B = u**4 * An, u**6 * Bn
     record: dict = {"n": n, "u": u, "alpha": alpha, "expected_A": expect_A, "expected_B": expect_B}
 

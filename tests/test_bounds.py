@@ -5,7 +5,6 @@ import pytest
 
 from torsionforms import (
     Curve,
-    DISC_TABLE,
     IncompleteFactorizationError,
     Witness,
     disc_AB,
@@ -16,6 +15,7 @@ from torsionforms import (
     prime_factor_count,
     reduced_form,
 )
+from torsionforms.bounds import RAW_DEGREE, REDUCTION
 from torsionforms.families import FAMILIES
 
 
@@ -32,12 +32,8 @@ class TestDiscPoly:
             disc_poly(6, 1, 1)
 
     def test_table_metadata(self):
-        assert {n: d.raw_degree for n, d in DISC_TABLE.items()} == {
-            2: 3, 3: 4, 4: 6, 5: 12, 7: 24, 8: 24, 9: 27
-        }
-        assert DISC_TABLE[2].reduction == "y^2 -> y"
-        assert DISC_TABLE[3].reduction == "x^3 -> x"
-        assert DISC_TABLE[5].reduction is None
+        assert RAW_DEGREE == {2: 3, 3: 4, 4: 6, 5: 12, 7: 24, 8: 24, 9: 27}
+        assert REDUCTION == {2: "y^2 -> y", 3: "x^3 -> x", 4: "y^2 -> y"}
 
     def test_reduced_forms(self):
         assert reduced_form(2).degree == 3
@@ -131,25 +127,26 @@ class TestEvertseBound:
 
 class TestMazurCountBound:
     def test_even_family(self):
-        assert mazur_count_bound(2, 0).value == 7**60 + 6 * 7**2
+        assert type(mazur_count_bound(2, 0)) is int
+        assert mazur_count_bound(2, 0) == 7**60 + 6 * 7**2
         for n in (2, 4, 6, 8, 10, 12):
-            assert mazur_count_bound(n, 3).value == mazur_count_bound(2, 3).value
+            assert mazur_count_bound(n, 3) == mazur_count_bound(2, 3)
 
     def test_three_nine_equal(self):
-        assert mazur_count_bound(9, 3).value == mazur_count_bound(3, 3).value
+        assert mazur_count_bound(9, 3) == mazur_count_bound(3, 3)
 
     def test_five_matches_general_bound(self):
-        assert mazur_count_bound(5, 1).value == evertse_bound(5, 1)
+        assert mazur_count_bound(5, 1) == evertse_bound(5, 1)
 
     def test_corollary_consistency(self):
         pairs = {2: 3, 3: 4, 5: 5, 7: 7, 9: 4, 4: 3, 6: 3, 8: 3, 10: 3, 12: 3}
         for n, r in pairs.items():
             for t in range(6):
-                assert mazur_count_bound(n, t).value == evertse_bound(r, t)
+                assert mazur_count_bound(n, t) == evertse_bound(r, t)
 
     def test_monotone_in_t(self):
         for n in (2, 3, 5, 7):
-            values = [mazur_count_bound(n, t).value for t in range(6)]
+            values = [mazur_count_bound(n, t) for t in range(6)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("t", [1.5, 2.0, F(2), "2", None, True, False])

@@ -14,7 +14,9 @@ from torsionforms import (
     eval_AB,
     eval_FG,
     fg_forms,
+    interpolated_pipeline_poly,
     rational_roots,
+    tate_AB,
 )
 
 EXPECTED_DEGREES = {5: (4, 6, 2, 3), 7: (8, 12, 4, 6), 8: (8, 12, 4, 6), 9: (12, 18, 6, 9)}
@@ -62,31 +64,26 @@ class TestFamilyTables:
             assert rational_roots(fam.tate_A_num) == set()
             assert rational_roots(fam.tate_B_num) == set()
 
-    def test_tate_value_pole_is_typed(self):
-        # A_8 and B_8 have a pole at alpha = 0, as tate_bc(8, 0) and
-        # param_cross_check(8, u, 0) report; the other families have none
+    def test_pipeline_pole_is_typed(self):
+        # A_8 = tate_A_num / alpha**4 and tate_A_num(0) = -27 != 0, so A_8 has a
+        # pole at alpha = 0, which tate_bc(8, 0) reports; the other families
+        # have none and their A_n, B_n at 0 are the numerators' constant terms
         for n, fam in FAMILIES.items():
+            assert (fam.tate_A_num(0), fam.tate_B_num(0)) == (-27, 54)
             if n == 8:
-                with pytest.raises(DegenerateParameterError, match="^A_8 has a pole at alpha = 0$"):
-                    fam.tate_value(0)
+                with pytest.raises(DegenerateParameterError, match=r"^n=8 needs alpha != 0"):
+                    tate_AB(8, 0)
             else:
-                assert fam.tate_value(0) == (-27, 54)
+                assert tate_AB(n, 0) == (-27, 54)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(r=st.integers(-10**6, 10**6), s=st.integers(1, 10**6))
-    def test_tate_value_matches_fraction_horner(self, r, s):
-        a = F(r, s)
-        for fam in FAMILIES.values():
-            if fam.tate_A_denpow and a == 0:
-                with pytest.raises(DegenerateParameterError, match="has a pole at alpha = 0"):
-                    fam.tate_value(a)
+    @given(p=st.integers(-10**6, 10**6), q=st.integers(1, 10**6))
+    def test_forms_match_the_pipeline(self, form_identity, p, q):
+        # (p, q) need not be coprime: both sides are homogeneous of degree deg U
+        for n in FAMILIES:
+            if n == 8 and p == 0:
                 continue
-            assert fam.tate_value(a) == (
-                F(fam.tate_A_num(a)) / a**fam.tate_A_denpow,
-                F(fam.tate_B_num(a)) / a**fam.tate_B_denpow,
-            )
-            if a.denominator == 1:
-                assert fam.tate_value(a.numerator) == fam.tate_value(a)
+            form_identity(n, p, q)
 
     def test_form_anchor_values(self):
         assert FAMILIES[5].U(1, 1) == 16
@@ -113,7 +110,8 @@ def _j_parts(fam) -> tuple[IntPoly, IntPoly]:
     """(P, Q) with j(alpha) = 6912 P(alpha) / Q(alpha) on the Tate curve; the
     alpha-power denominators of A_8 and B_8 give A^3 and B^2 the same alpha^12
     and cancel."""
-    assert 3 * fam.tate_A_denpow == 2 * fam.tate_B_denpow
+    _, a_pow, _, b_pow = interpolated_pipeline_poly(fam.n)
+    assert 3 * a_pow == 2 * b_pow
     P = fam.tate_A_num**3
     return P, 4 * P + 27 * fam.tate_B_num**2
 

@@ -30,6 +30,7 @@ from torsionforms import (
     param_cross_check,
     point_order,
     scalar_mul,
+    tate_AB,
     twist_point,
     torsion_points,
     torsion_structure,
@@ -305,7 +306,7 @@ class TestDetect:
             raise AssertionError("a root search or a root-cache hit evaluated Tate "
                                  "values or fg_forms")
 
-        monkeypatch.setattr(families.ThueFamily, "tate_value", forbidden)
+        monkeypatch.setattr(thue, "tate_AB", forbidden)
         monkeypatch.setattr(families, "fg_forms", forbidden)
         monkeypatch.setattr(thue, "fg_forms", forbidden)
         # a miss on the cold cache builds the rows, and the twists hit them
@@ -436,7 +437,7 @@ class TestDetectProofs:
             for v in (1, 2, 3, 5, 6):
                 c = twist_scale(planted, v)
                 for alpha, F0, G0 in _rows(c, w.n):
-                    An, Bn = fam.tate_value(alpha)
+                    An, Bn = tate_AB(w.n, alpha)
                     p0, q0 = fam.sigma * alpha.numerator, alpha.denominator
                     lam = abs(p0) * q0 if w.n == 8 else q0**fam.scale_power
                     assert (F0, G0) == (lam**4 * An, lam**6 * Bn), (c, w.n, alpha)
@@ -485,8 +486,7 @@ class TestPositivePath:
         assert trace is not None
         # the matching system, evaluated here in Fraction
         a = trace.alpha
-        An = F(fam.tate_A_num(a)) / a**fam.tate_A_denpow
-        Bn = F(fam.tate_B_num(a)) / a**fam.tate_B_denpow
+        An, Bn = tate_AB(n, a)
         assert (trace.u**4 * c.A, trace.u**6 * c.B) == (An, Bn)
         if trace.witness is not None:
             validate_trace(c, trace.witness, trace.scale)
@@ -502,7 +502,8 @@ class TestPositivePath:
     @pytest.mark.parametrize("index", [0, 1])
     def test_model_coefficient_mismatch_rejected(self, monkeypatch, cold_root_cache, index):
         # a root model whose F0 (or G0) alone is wrong still carries points
-        # that map onto c's 6-twist: only the mu^4 (mu^6) check rejects it
+        # that map onto c's 6-twist: the j check that _matching_roots runs on
+        # each root model as it builds the rows rejects it
         real = thue._checked_model
 
         def off_by_two(n, p, q, S):
@@ -584,7 +585,7 @@ class TestPositiveMissCost:
         assert len(points) == 6 and len(orders) == 3
         assert [P.y for P in points[1::2]] == [-P.y for P in points[::2]]
 
-    def test_rows_keep_one_point_per_pair(self, cold_root_cache):
+    def test_rows_are_alpha_and_checked_model(self, cold_root_cache):
         # a row keeps the root and its checked model, and no point
         fam = FAMILIES[7]
         rows = _rows(Curve(-43, 166), 7)
@@ -611,7 +612,7 @@ class TestPositiveMissCost:
         monkeypatch.setattr(thue, "_witness_from_mu", flag)
         trace = detect(c, 7)
         alpha = rows[1][0]
-        An, Bn = FAMILIES[7].tate_value(alpha)
+        An, Bn = tate_AB(7, alpha)
         u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
         witness, scale, _, note = fraction_witness_from_alpha_u(7, alpha, u)
         assert note is None
@@ -864,9 +865,9 @@ def fraction_detect(c: Curve, n: int):
     best = None
     for alpha in sorted(rational_roots(M),
                         key=lambda r: (r <= 0, r.denominator, abs(r.numerator))):
-        if fam.tate_A_denpow and alpha == 0:
+        if n == 8 and alpha == 0:
             continue
-        An, Bn = fam.tate_value(alpha)
+        An, Bn = tate_AB(n, alpha)
         if An == 0 or Bn == 0:
             continue
         u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
