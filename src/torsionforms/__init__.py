@@ -40,11 +40,10 @@ from .exact import (
     rational_roots,
     rational_square_root,
 )
-from .families import FAMILIES, FAMILY_ORDERS, PROVENANCE, ThueFamily, fg_forms
+from .families import FAMILIES, FAMILY_ORDERS, PROVENANCE, ThueFamily
 from .records import CurveRecord
 from .tate import (
     TATE_ORDERS,
-    interpolated_pipeline_poly,
     tate_AB,
     tate_bc,
     tate_short_curve,
@@ -71,14 +70,13 @@ from .torsion import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Curve", "CurveRecord", "DegenerateParameterError", "DetectionTrace",
-    "FAMILIES", "FAMILY_ORDERS", "FamilyDataError", "HomForm", "INFINITY",
+    "Curve", "CurveRecord", "DegenerateParameterError", "DetectionTrace", "FAMILIES",
+    "FAMILY_ORDERS", "FamilyDataError", "HomForm", "INFINITY",
     "IncompleteFactorizationError", "Infinity", "IntPoly", "MAZUR_LABELS",
     "OffCurveError", "PROVENANCE", "Point", "SideConditionError",
     "SingularCurveError", "TATE_ORDERS", "ThueFamily", "TorsionReport", "Witness",
-    "add", "brute_force_witness_search", "detect", "disc_AB", "disc_poly",
-    "eval_AB", "eval_FG", "evertse_bound", "factorize", "fg_forms",
-    "generate_curve", "has_point_of_order", "interpolated_pipeline_poly",
+    "add", "brute_force_witness_search", "detect", "disc_AB", "disc_poly", "eval_AB",
+    "eval_FG", "evertse_bound", "factorize", "generate_curve", "has_point_of_order",
     "mazur_count_bound", "neg", "on_curve", "order_n_points", "param_cross_check",
     "point_order", "prime_factor_count", "rational_roots", "rational_square_root",
     "reduced_form", "scalar_mul", "tate_AB", "tate_bc", "tate_short_curve",

@@ -15,11 +15,11 @@ from itertools import chain, islice
 
 from .bounds import mazur_count_bound, prime_factor_count
 from .curves import Curve
-from .errors import DegenerateParameterError, SideConditionError
+from .errors import DegenerateParameterError, FamilyDataError, SideConditionError
 from .exact import decimal_to_int, int_to_decimal, rational_to_decimal
 from .families import FAMILIES, FAMILY_ORDERS
 from .records import CurveRecord
-from .tate import interpolated_pipeline_poly
+from .tate import tate_AB
 from .thue import Witness, detect, generate_curve, param_cross_check
 from .torsion import has_point_of_order
 
@@ -215,15 +215,23 @@ def cmd_verify_identities(args) -> int:
         if not ok:
             failures += 1
 
-    a_num, _, b_num, _ = interpolated_pipeline_poly(n)
+    def pipeline(p: int, q: int) -> tuple[Fraction, Fraction]:
+        A, B = tate_AB(n, Fraction(fam.sigma * p, q))
+        scale = fam.pipeline_scale(p, q)
+        return scale**4 * A, scale**6 * B
+
+    # tate_bc's b, c are polynomials in alpha (c over alpha for n = 8), so both
+    # sides below are polynomials in x, or forms in (p, q), of degree <= deg V:
+    # agreeing at deg V + 1 points x, or ratios p/q, they are equal.
+    xs = range(1, fam.V.degree + 2)
     check(
         f"tate-pipeline coefficients n={n} (pipeline == transcribed tables)",
-        a_num == fam.tate_A_num and b_num == fam.tate_B_num,
+        all((fam.tate_A_num(x), fam.tate_B_num(x)) == pipeline(fam.sigma * x, 1) for x in xs),
     )
     check(
         f"binary-form homogenization n={n} (sigma = {fam.sigma:+d})",
-        -27 * fam.U.dehomogenize(fam.sigma) == a_num
-        and fam.b_sign * 54 * fam.V.dehomogenize(fam.sigma) == b_num,
+        all((fam.F(p, q), fam.G(p, q)) == pipeline(p, q)
+            for p, q in ((fam.sigma * x, x + 1) for x in xs)),
     )
     degs = (
         fam.U.degree,
@@ -237,7 +245,7 @@ def cmd_verify_identities(args) -> int:
                          (3, Fraction(-2, 5)), (Fraction(5, 7), -3)]:
             param_cross_check(n, u, alpha)
         check(f"elimination cross-check n={n}", True)
-    except Exception as exc:  # hard identity failure
+    except FamilyDataError as exc:  # hard identity failure
         print(f"      {exc}", file=sys.stderr)
         check(f"elimination cross-check n={n}", False)
     print(f"sigma_{n} = {fam.sigma:+d}")

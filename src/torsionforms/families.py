@@ -1,22 +1,21 @@
 """Per-order coefficient tables for the binary-form families.
 
-For each n in {5, 7, 8, 9} the curve family is
+For each n in {5, 7, 8, 9} the family's model is the pair of integer forms
 
-    A = -27 * k**4 * U_n(p, q),      B = b_sign * 54 * k**6 * V_n(p, q),
+    F = -27 * U_n,      G = b_sign * 54 * V_n,
 
-with k ranging over a small branch set, and the order-n points are
+and the witness (p, q, k), with k ranging over a small branch set, gives the
+curve (A, B) = (k**4 * F(p, q), k**6 * G(p, q)) and the order-n points
 
     ( 3 * k**2 * X_i(p, q),  +-108 * k**3 * Y_i(p, q) ).
 
-The same data in one-variable form are the numerators of the Tate normal
-form's short-model coefficients, A_n(alpha) = tate_A_num(alpha)/alpha**a_pow
-and likewise for B, with A_n, B_n from ``tate.tate_AB`` and the alpha-powers
-(4, 6 for n = 8, else 0) from ``tate.interpolated_pipeline_poly``.  The
-numerators are not transcribed but derived from the binary forms,
+At alpha = sigma*p/q, q > 0, the model is the Tate normal form's short model
+(A_n, B_n from ``tate.tate_AB``) scaled by l = ``pipeline_scale(p, q)``,
 
-    tate_A_num(x) = -27 * U_n(sigma*x, 1),   tate_B_num(x) = +-54 * V_n(sigma*x, 1),
+    (F, G)(p, q) = (l**4 * A_n(alpha), l**6 * B_n(alpha)),
 
-so that -27 * U_n(p, q) = q**degF * alpha**a_pow * A_n(alpha) at alpha = sigma*p/q.
+with l = q**j for deg F = 4*j, and l = |p|*q for n = 8, where A_8 and B_8
+have the denominators alpha**4 and alpha**6.
 
 All tables are transcribed from their published source and verified against
 the Tate pipeline by the test suite; known transcription issues are listed in
@@ -57,17 +56,28 @@ class ThueFamily:
     nonzero_pq: bool
     p_ne_q: bool
     two_p_ne_q: bool
+    # derived: the model F = -27 U, G = +-54 V, and F(sigma x, 1), G(sigma x, 1)
+    F: HomForm = field(init=False)
+    G: HomForm = field(init=False)
     tate_A_num: IntPoly = field(init=False)
     tate_B_num: IntPoly = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tate_A_num", -27 * self.U.dehomogenize(self.sigma))
-        object.__setattr__(self, "tate_B_num", self.b_sign * 54 * self.V.dehomogenize(self.sigma))
+        F, G = -27 * self.U, self.b_sign * 54 * self.V
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "tate_A_num", F.dehomogenize(self.sigma))
+        object.__setattr__(self, "tate_B_num", G.dehomogenize(self.sigma))
 
     @property
     def scale_power(self) -> int:
         """j with deg F = 4*j; the witness denominator enters u through q**j."""
         return self.degrees[0] // 4
+
+    def pipeline_scale(self, p: int, q: int) -> int:
+        """l with (F, G)(p, q) = (l**4 * A_n(alpha), l**6 * B_n(alpha)) at
+        alpha = sigma*p/q, q > 0 (see the module docstring)."""
+        return abs(p) * q if self.n == 8 else q**self.scale_power
 
     def side_conditions_ok(self, p: int, q: int) -> bool:
         if self.nonzero_pq and (p == 0 or q == 0):
@@ -175,19 +185,6 @@ def family(n: int) -> ThueFamily:
     return fam
 
 
-def fg_forms(n: int, k: Fraction) -> tuple[int, int]:
-    """Constants (cF, cG) with F = cF * U_n and G = cG * V_n for branch k;
-    both (6k)**4 and (6k)**6 are integers on every branch, so F and G are
-    integer forms."""
-    fam = family(n)
-    six_k = 6 * Fraction(k)
-    cf = -27 * six_k**4
-    cg = fam.b_sign * 54 * six_k**6
-    if cf.denominator != 1 or cg.denominator != 1:
-        raise ValueError(f"k = {k} is not a valid branch for n = {n}")
-    return int(cf), int(cg)
-
-
 # Transcription notes: places where the published tables disagree with
 # themselves; in every case the group-law / Tate-pipeline computation is
 # authoritative and the verified reading is recorded here.
@@ -203,8 +200,8 @@ PROVENANCE: dict[str, str] = {
     ),
     "B8-alpha10": (
         "The printed B_8 numerator skips the alpha^10 term between -384 alpha^11 "
-        "and +3520 alpha^9; exact interpolation of the pipeline gives coefficient "
-        "0, so the printed list is complete as written."
+        "and +3520 alpha^9; the pipeline identity gives coefficient 0, so the "
+        "printed list is complete as written."
     ),
     "B8-v-bracket": (
         "The restated n=8 B display shows -80 p^2 q^2 inside the degree-8 bracket; "

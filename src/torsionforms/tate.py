@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .curves import Curve, disc_AB
 from .errors import DegenerateParameterError
-from .exact import IntPoly
 
 TATE_ORDERS = (4, 5, 6, 7, 8, 9, 10, 12)
 
@@ -79,47 +78,3 @@ def tate_short_curve(n: int, alpha) -> tuple[Curve, Fraction]:
     u = Fraction(math.lcm(A.denominator, B.denominator))
     return Curve(int(u**4 * A), int(u**6 * B)), u
 
-
-def interpolated_pipeline_poly(n: int) -> tuple[IntPoly, int, IntPoly, int]:
-    """Exact coefficient extraction of the pipeline's A_n, B_n for n in {5,7,8,9}.
-
-    Returns ``(A_num, a_pow, B_num, b_pow)`` with
-    A_n(alpha) = A_num(alpha) / alpha**a_pow and likewise for B.  Obtained by
-    exact interpolation of the pipeline at integer parameters, so it serves as
-    the authority against which the transcribed coefficient tables are checked.
-    """
-    if n not in (5, 7, 8, 9):
-        raise ValueError("pipeline polynomials are extracted for n in {5, 7, 8, 9}")
-    a_pow, b_pow = (4, 6) if n == 8 else (0, 0)
-    deg_a, deg_b = {5: (4, 6), 7: (8, 12), 8: (8, 12), 9: (12, 18)}[n]
-    # tate_AB raises only at alpha = 0 (n = 8), so no sample x >= 2 is skipped
-    xs = list(range(2, max(deg_a, deg_b) + 3))
-    values = [tate_AB(n, Fraction(x)) for x in xs]
-    ya = [A * x**a_pow for x, (A, _) in zip(xs, values)]
-    yb = [B * x**b_pow for x, (_, B) in zip(xs, values)]
-    return (
-        _interpolate_int_poly(xs[: deg_a + 1], ya[: deg_a + 1]),
-        a_pow,
-        _interpolate_int_poly(xs[: deg_b + 1], yb[: deg_b + 1]),
-        b_pow,
-    )
-
-
-def _interpolate_int_poly(xs: list[int], ys: list[Fraction]) -> IntPoly:
-    """Newton interpolation; the result must have integer coefficients."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [coef[-1]]
-    for k in range(n - 2, -1, -1):
-        new = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            new[i + 1] += c
-            new[i] -= c * xs[k]
-        new[0] += coef[k]
-        poly = new
-    if any(c.denominator != 1 for c in poly):
-        raise ArithmeticError("pipeline interpolation produced non-integer coefficients")
-    return IntPoly(int(c) for c in poly)

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .exact import int_to_decimal, integer_nth_root, rational_roots, rational_square_root
 from .exact import rational_to_decimal
-from .families import FAMILIES, ThueFamily, family, fg_forms
+from .families import FAMILIES, ThueFamily, family
 from .records import CurveRecord
 from .tate import tate_AB
 from .torsion import CACHE_SIZE, torsion_structure
@@ -70,7 +70,7 @@ class DetectionTrace:
     ``u2`` is the branch denominator ``witness.k.denominator`` (the part of
     the twist that cannot be absorbed into integers; always in {1, 2, 3}),
     and ``scale`` the residual integer multiplier: the curve satisfies
-    6**4 A = scale**4 * F_n^(k)(p, q) and 6**6 B = scale**6 * G_n^(k)(p, q).
+    (6**4 A, 6**6 B) = (scale**4 F, scale**6 G) for (F, G) = ``eval_FG(witness)``.
     ``discrepancy`` is set when the plain integral system (scale absorbed into
     (p, q)) has no solution even though the matching system does.
     """
@@ -87,18 +87,18 @@ class DetectionTrace:
 
 
 def eval_AB(w: Witness) -> tuple[Fraction, Fraction]:
-    """Exact family coefficients A = -27 k^4 U_n(p,q), B = (+-)54 k^6 V_n(p,q),
+    """Exact family coefficients A = k^4 F_n(p,q), B = k^6 G_n(p,q),
     read off the 6-twist: ``eval_FG(w)`` divided by (6^4, 6^6)."""
     F, G = eval_FG(w)
     return Fraction(F, 1296), Fraction(G, 46656)
 
 
 def eval_FG(w: Witness) -> tuple[int, int]:
-    """The 6-scaled integral system values (6^4 A, 6^6 B); always integers,
-    as s = 6k is an integer on every branch (see ``fg_forms``)."""
+    """The 6-scaled integral system values (6^4 A, 6^6 B) = (S^4 F_n(p, q),
+    S^6 G_n(p, q)); always integers, as S = 6k is an integer on every branch."""
     fam = w.family
-    s = 6 * w.k.numerator // w.k.denominator
-    return -27 * s**4 * fam.U(w.p, w.q), fam.b_sign * 54 * s**6 * fam.V(w.p, w.q)
+    S = 6 * w.k.numerator // w.k.denominator
+    return S**4 * fam.F(w.p, w.q), S**6 * fam.G(w.p, w.q)
 
 
 def order_n_points(w: Witness) -> list[Point]:
@@ -114,10 +114,10 @@ def _six_twist_points(w: Witness) -> tuple[int, int, list[tuple[int, int]]]:
 
 
 def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """(F, G) = (-27 S^4 U_n(p, q), +-54 S^6 V_n(p, q)) and the printed points
+    """(F, G) = (S^4 F_n(p, q), S^6 G_n(p, q)) and the printed points
     (3 S^2 X_i, +-108 S^3 Y_i), checked on y**2 = x**3 + F*x + G.
 
-    S = 6k, an integer on every branch (see ``fg_forms``), gives the 6-twist
+    S = 6k, an integer on every branch, gives the 6-twist
     of the witness curve (n, p, q, k), and S = 1 the primitive model.  The
     points and all their multiples are integral (Nagell-Lutz), so the checks
     run in int: nonsingular, every point on the curve and of exact order n.
@@ -125,7 +125,7 @@ def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple
     x; as -P has the order of P, the order is checked once per pair, on (x, y).
     """
     fam = FAMILIES[n]
-    F, G = -27 * S**4 * fam.U(p, q), fam.b_sign * 54 * S**6 * fam.V(p, q)
+    F, G = S**4 * fam.F(p, q), S**6 * fam.G(p, q)
     pq = f"{int_to_decimal(p)}, {int_to_decimal(q)}"
     if disc_AB(F, G) == 0:
         raise DegenerateParameterError(f"witness (p, q) = ({pq}) generates a singular curve")
@@ -327,7 +327,7 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     exactly when mu is rational, and then mu is an integer
     (``_witness_from_mu``); a row whose mu^2 is no positive integer square
     (a quadratic twist of c) is passed over.  As (F0, G0) =
-    (l^4 A_n(alpha), l^6 B_n(alpha)), l = q0^j (|p0| q0 if n = 8),
+    (l^4 A_n(alpha), l^6 B_n(alpha)) with l = ``fam.pipeline_scale(p0, q0)``,
     u = 6/(mu l) solves the matching system; it is computed for the trace.
     """
     fam = family(n)
@@ -346,8 +346,7 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
             continue
         mu = math.isqrt(mu2)
         witness, scale, note = _witness_from_mu(n, alpha, mu)
-        q0 = alpha.denominator
-        lam = abs(alpha.numerator) * q0 if n == 8 else q0**fam.scale_power
+        lam = fam.pipeline_scale(fam.sigma * alpha.numerator, alpha.denominator)
         trace = DetectionTrace(alpha, Fraction(6, mu * lam), witness, scale, note)
         if note is None:
             return trace
@@ -363,9 +362,10 @@ def brute_force_witness_search(
     c: Curve, n: int, bound: int, ks: Optional[tuple[Fraction, ...]] = None
 ) -> list[Witness]:
     """All witnesses with 1 <= |p|, |q| <= bound satisfying the integral system
-    6^4 A = F_n^(k)(p, q), 6^6 B = G_n^(k)(p, q) exactly, by exhaustive scan.
+    (6^4 A, 6^6 B) = ``eval_FG`` of the witness exactly, by exhaustive scan.
 
-    ``ks`` restricts the branch set (default: every branch of the family).
+    ``ks`` restricts the branch set (default: every branch of the family); a k
+    whose 6k is not an integer is a ValueError.
     """
     fam = family(n)
     branches = fam.kset if ks is None else tuple(Fraction(k) for k in ks)
@@ -374,12 +374,14 @@ def brute_force_witness_search(
     box = [v for v in range(-bound, bound + 1) if v]
     found = []
     for k in branches:
-        cf, cg = fg_forms(n, k)
+        S, rest = divmod(6 * k, 1)
+        if rest:
+            raise ValueError(f"k = {k} is not a valid branch for n = {n}")
         for q in box:
             for p in box:
                 if not fam.side_conditions_ok(p, q):
                     continue
-                if cf * fam.U(p, q) == target_f and cg * fam.V(p, q) == target_g:
+                if S**4 * fam.F(p, q) == target_f and S**6 * fam.G(p, q) == target_g:
                     found.append(Witness(n, p, q, k))
     found.sort(key=lambda w: (w.p, w.q, w.k))
     return found
@@ -399,9 +401,7 @@ def param_cross_check(n: int, u, alpha) -> dict:
     alpha = Fraction(alpha)
     if u == 0:
         raise DegenerateParameterError("u must be nonzero")
-    fam = family(n)
-    if n == 8 and alpha == 0:
-        raise DegenerateParameterError("n = 8 formulas have a pole at alpha = 0")
+    family(n)  # ValueError for an order without a family
     An, Bn = tate_AB(n, alpha)
     expect_A, expect_B = u**4 * An, u**6 * Bn
     record: dict = {"n": n, "u": u, "alpha": alpha, "expected_A": expect_A, "expected_B": expect_B}

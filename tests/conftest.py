@@ -17,25 +17,24 @@ def _src_on_child_path():
 
 @pytest.fixture(scope="session")
 def form_identity():
-    """``check(n, p, q)``: the identity of families.py's docstring at
+    """``check(n, p, q)``, q > 0: the identity of families.py's docstring at
     alpha = sigma p/q, with A_n(alpha), B_n(alpha) from the Tate pipeline:
 
-        -27 U(p, q) = q**deg U * alpha**a_pow * A_n(alpha),
-        b_sign 54 V(p, q) = q**deg V * alpha**b_pow * B_n(alpha).
+        F(p, q) = l**4 A_n(alpha),   G(p, q) = l**6 B_n(alpha),
 
+    l = q**(deg U / 4), or |p| q for n = 8, where A_8 and B_8 have the
+    denominators alpha**4 and alpha**6; l is also ``pipeline_scale(p, q)``.
     This is what checks the forms U, V against the pipeline pointwise."""
     from fractions import Fraction
 
-    from torsionforms import FAMILIES, interpolated_pipeline_poly, tate_AB
-
-    powers = {n: interpolated_pipeline_poly(n)[1::2] for n in FAMILIES}
+    from torsionforms import FAMILIES, tate_AB
 
     def check(n: int, p: int, q: int) -> None:
         fam = FAMILIES[n]
-        a_pow, b_pow = powers[n]
-        alpha = Fraction(fam.sigma * p, q)
-        A, B = tate_AB(n, alpha)
-        assert -27 * fam.U(p, q) == q**fam.U.degree * alpha**a_pow * A, (n, p, q)
-        assert fam.b_sign * 54 * fam.V(p, q) == q**fam.V.degree * alpha**b_pow * B, (n, p, q)
+        A, B = tate_AB(n, Fraction(fam.sigma * p, q))
+        lam = abs(p) * q if n == 8 else q ** (fam.U.degree // 4)
+        assert fam.pipeline_scale(p, q) == lam, (n, p, q)
+        assert fam.F(p, q) == lam**4 * A, (n, p, q)
+        assert fam.G(p, q) == lam**6 * B, (n, p, q)
 
     return check

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionforms import cli
+from torsionforms import FamilyDataError, cli
 from torsionforms.exact import HomForm, decimal_to_int, int_to_decimal
 from torsionforms.families import FAMILIES
 from torsionforms.records import CurveRecord
@@ -237,18 +237,56 @@ class TestVerifyIdentitiesCommand:
 
     @pytest.mark.parametrize("name", ["U", "V"])
     def test_wrong_form_fails(self, name, monkeypatch, capsys):
-        # the Tate numerators are derived from U and V, so both lines compare
-        # the forms with the pipeline
-        fam = FAMILIES[7]
-        form = getattr(fam, name)
-        coeffs = list(form.coeffs)
-        coeffs[1] += 1
-        monkeypatch.setitem(
-            FAMILIES, 7, dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)}))
+        # the Tate numerators and the model are derived from U and V, so both
+        # lines compare the forms with the pipeline: every coefficient of
+        # every family's form off by +1 or -1 must fail both
+        for n, fam in list(FAMILIES.items()):
+            form = getattr(fam, name)
+            for i in range(form.degree + 1):
+                for delta in (1, -1):
+                    coeffs = list(form.coeffs)
+                    coeffs[i] += delta
+                    wrong = dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)})
+                    monkeypatch.setitem(FAMILIES, n, wrong)
+                    assert cli.main(["verify-identities", str(n)]) == cli.EXIT_ERROR
+                    out = capsys.readouterr().out
+                    assert f"FAIL  tate-pipeline coefficients n={n}" in out, (n, i, delta)
+                    assert f"FAIL  binary-form homogenization n={n}" in out, (n, i, delta)
+
+    @pytest.mark.parametrize("line", ["tate-pipeline coefficients", "binary-form homogenization"])
+    def test_each_line_checks_deg_v_plus_one_points(self, line, monkeypatch, capsys):
+        # the line's points are (p, q) = (sigma x, 1), or (sigma x, x + 1), for
+        # x = 1, ..., deg V + 1; V + D, with D the product of the deg V linear
+        # forms that vanish at all but the last point, is wrong only there
+        for n, fam in list(FAMILIES.items()):
+            sigma, d = fam.sigma, fam.V.degree
+            D = HomForm(0, (1,))
+            for i in range(1, d + 1):
+                D = D * HomForm(1, (-sigma * i, 1 if line.startswith("tate") else i + 1))
+            V = HomForm(d, (v + w for v, w in zip(fam.V.coeffs, D.coeffs)))
+            monkeypatch.setitem(FAMILIES, n, dataclasses.replace(fam, V=V))
+            assert cli.main(["verify-identities", str(n)]) == cli.EXIT_ERROR
+            assert f"FAIL  {line} n={n}" in capsys.readouterr().out
+
+    def test_failed_identity_fails(self, monkeypatch, capsys):
+        def failing(n, u, alpha):
+            raise FamilyDataError(f"n={n} identity A reconstruction fails")
+
+        monkeypatch.setattr(cli, "param_cross_check", failing)
         assert cli.main(["verify-identities", "7"]) == cli.EXIT_ERROR
-        out = capsys.readouterr().out
-        assert "FAIL  tate-pipeline coefficients n=7" in out
-        assert "FAIL  binary-form homogenization n=7" in out
+        out, err = capsys.readouterr()
+        assert "FAIL  elimination cross-check n=7\n" in out
+        assert out.count("FAIL") == 1
+        assert "n=7 identity A reconstruction fails" in err
+
+    def test_bug_in_the_cross_check_propagates(self, monkeypatch):
+        # only a failed identity is a FAIL line; any other error is a bug
+        def broken(n, u, alpha):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(cli, "param_cross_check", broken)
+        with pytest.raises(TypeError, match="broken"):
+            cli.main(["verify-identities", "7"])
 
     def test_usage_error(self):
         r = run("verify-identities", "6")

@@ -5,16 +5,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from torsionforms import (
+    Curve,
     DegenerateParameterError,
     FAMILIES,
     IntPoly,
     PROVENANCE,
     SideConditionError,
     Witness,
+    brute_force_witness_search,
     eval_AB,
     eval_FG,
-    fg_forms,
-    interpolated_pipeline_poly,
     rational_roots,
     tate_AB,
 )
@@ -50,12 +50,6 @@ class TestFamilyTables:
     def test_sigma_orientation_frozen(self):
         for n, fam in FAMILIES.items():
             assert fam.sigma == EXPECTED_SIGMA[n]
-
-    def test_homogenization_identity_exact(self):
-        # -27 U_n(sigma x, 1) == A_num(x) and (+-54) V_n(sigma x, 1) == B_num(x)
-        for n, fam in FAMILIES.items():
-            assert -27 * fam.U.dehomogenize(fam.sigma) == fam.tate_A_num
-            assert fam.b_sign * 54 * fam.V.dehomogenize(fam.sigma) == fam.tate_B_num
 
     def test_tate_coefficients_have_no_rational_roots(self):
         # hence no curve with A*B = 0 (j in {0, 1728}) has a point of order n,
@@ -110,8 +104,6 @@ def _j_parts(fam) -> tuple[IntPoly, IntPoly]:
     """(P, Q) with j(alpha) = 6912 P(alpha) / Q(alpha) on the Tate curve; the
     alpha-power denominators of A_8 and B_8 give A^3 and B^2 the same alpha^12
     and cancel."""
-    _, a_pow, _, b_pow = interpolated_pipeline_poly(fam.n)
-    assert 3 * a_pow == 2 * b_pow
     P = fam.tate_A_num**3
     return P, 4 * P + 27 * fam.tate_B_num**2
 
@@ -191,34 +183,41 @@ class TestEvalFG:
 
     def test_branch_constants(self):
         # (6k)^4 for k = 1/3 is 16, for k = 1/2 is 81
-        assert fg_forms(7, F(1, 3))[0] == -27 * 16
-        assert fg_forms(8, F(1, 2))[0] == -27 * 81
-        assert fg_forms(9, F(1, 3))[1] == 54 * 64
-        assert fg_forms(8, F(1, 2))[1] == -54 * 729
+        fam7, fam8, fam9 = FAMILIES[7], FAMILIES[8], FAMILIES[9]
+        assert eval_FG(Witness(7, 3, 1, F(1, 3)))[0] == -27 * 16 * fam7.U(3, 1)
+        assert eval_FG(Witness(8, 3, 1, F(1, 2))) == (-27 * 81 * fam8.U(3, 1),
+                                                      -54 * 729 * fam8.V(3, 1))
+        assert eval_FG(Witness(9, 3, 1, F(1, 3)))[1] == 54 * 64 * fam9.V(3, 1)
 
     def test_always_integral(self):
-        for n, fam in FAMILIES.items():
+        # S = 6k is an integer on every branch, so eval_FG's S^4 F and S^6 G
+        # are integer forms
+        for fam in FAMILIES.values():
             for k in fam.kset:
-                cf, cg = fg_forms(n, k)
-                assert isinstance(cf, int) and isinstance(cg, int)
+                assert (6 * k).denominator == 1
 
     def test_invalid_branch_rejected(self):
-        with pytest.raises(ValueError):
-            fg_forms(7, F(1, 5))
+        with pytest.raises(ValueError, match=r"^k = 1/5 is not a valid branch for n = 7$"):
+            brute_force_witness_search(Curve(1, 1), 7, 1, ks=(F(1, 5),))
+
+    def test_branch_outside_the_set_is_searched(self):
+        # the search rejects only a k whose 6k is not an integer
+        assert brute_force_witness_search(Curve(1, 1), 7, 2, ks=(F(1, 6), 2)) == []
 
     def test_order_without_family_rejected(self):
         with pytest.raises(ValueError, match="no family for order n = 6"):
-            fg_forms(6, 1)
+            brute_force_witness_search(Curve(1, 1), 6, 1)
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in FAMILIES for k in FAMILIES[n].kset])
     @settings(max_examples=50, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(p=st.integers(-10**6, 10**6), q=st.integers(-10**6, 10**6))
-    def test_matches_fg_forms(self, n, k, p, q):
+    def test_matches_the_scaled_forms(self, n, k, p, q):
         fam = FAMILIES[n]
         assume(fam.side_conditions_ok(p, q))
-        cf, cg = fg_forms(n, k)
-        assert eval_FG(Witness(n, p, q, k)) == (cf * fam.U(p, q), cg * fam.V(p, q))
+        S, sign = 6 * k, -1 if n == 8 else 1
+        assert eval_FG(Witness(n, p, q, k)) == (
+            -27 * S**4 * fam.U(p, q), sign * 54 * S**6 * fam.V(p, q))
 
 
 class TestSideConditions:

@@ -13,12 +13,10 @@ from torsionforms import (
     IntPoly,
     TATE_ORDERS,
     has_point_of_order,
-    interpolated_pipeline_poly,
     tate_AB,
     tate_bc,
     tate_short_curve,
 )
-from torsionforms import tate
 from torsionforms.exact import rational_roots
 
 
@@ -85,47 +83,39 @@ class TestTateAB:
         sigma = FAMILIES[n].sigma
         form_identity(n, sigma * alpha.numerator, alpha.denominator)
 
+    @staticmethod
+    def _numerators_agree(fam, x) -> tuple[bool, bool]:
+        """Whether tate_A_num(x), tate_B_num(x) equal the pipeline's
+        x**a_pow A_n(x), x**b_pow B_n(x); A_8, B_8 have the alpha-power
+        denominators (4, 6), the other A_n, B_n are polynomials."""
+        a_pow, b_pow = (4, 6) if fam.n == 8 else (0, 0)
+        A, B = tate_AB(fam.n, x)
+        return fam.tate_A_num(x) == x**a_pow * A, fam.tate_B_num(x) == x**b_pow * B
+
     def test_pipeline_matches_tables_coefficientwise(self):
+        # both sides are polynomials of degree <= deg V in x (tate_bc's b and
+        # c are polynomials, c over alpha for n = 8): agreeing at deg V + 1
+        # points, they agree coefficient by coefficient
         for n in (5, 7, 8, 9):
             fam = FAMILIES[n]
-            a_num, a_pow, b_num, b_pow = interpolated_pipeline_poly(n)
-            assert a_num == fam.tate_A_num
-            assert b_num == fam.tate_B_num
-            # A_8, B_8 have alpha-power denominators; the others are polynomials
-            assert (a_pow, b_pow) == ((4, 6) if n == 8 else (0, 0))
+            assert max(fam.tate_A_num.degree, fam.tate_B_num.degree) == fam.V.degree
+            for x in [F(i, 3) for i in range(1, fam.V.degree + 2)]:
+                assert self._numerators_agree(fam, x) == (True, True), (n, x)
 
     @pytest.mark.parametrize("n", (5, 7, 8, 9))
     def test_pipeline_catches_a_wrong_form(self, n):
         # the numerators are derived from U and V, so the pipeline is what
-        # checks the forms: one coefficient off must show
+        # checks the forms: one coefficient off must show, in A_n for U and
+        # in B_n for V
         fam = FAMILIES[n]
-        a_num, _, b_num, _ = interpolated_pipeline_poly(n)
+        xs = range(1, fam.V.degree + 2)
         for name in ("U", "V"):
             form = getattr(fam, name)
             coeffs = list(form.coeffs)
             coeffs[1] += 1
             wrong = dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)})
-            assert (wrong.tate_A_num, wrong.tate_B_num) != (a_num, b_num), (n, name)
-            assert (wrong.tate_A_num == a_num) == (name == "V")
-
-    @pytest.mark.parametrize("n", (5, 7, 8, 9))
-    def test_interpolation_samples_every_x_from_two(self, monkeypatch, n):
-        # for these n, tate_bc divides only by alpha (n = 8), so tate_AB
-        # raises only at alpha = 0 and no sample x >= 2 is skipped
-        samples = []
-        real = tate.tate_AB
-
-        def recording(order, alpha):
-            samples.append(alpha)
-            return real(order, alpha)
-
-        monkeypatch.setattr(tate, "tate_AB", recording)
-        interpolated_pipeline_poly(n)
-        assert samples == list(range(2, FAMILIES[n].tate_B_num.degree + 3))
-
-    def test_b8_alpha10_coefficient_resolved_to_zero(self):
-        _, _, b_num, _ = interpolated_pipeline_poly(8)
-        assert b_num.coeffs[10] == 0
+            a_ok, b_ok = map(all, zip(*(self._numerators_agree(wrong, x) for x in xs)))
+            assert (a_ok, b_ok) == (name == "V", name == "U"), (n, name)
 
 
 class TestTateShortCurve:

@@ -36,7 +36,7 @@ from torsionforms import (
     torsion_structure,
     twist_scale,
 )
-from torsionforms import curves, exact, families, thue, torsion
+from torsionforms import curves, exact, thue, torsion
 from torsionforms.exact import (
     int_to_decimal,
     integer_nth_root,
@@ -303,12 +303,9 @@ class TestDetect:
         c = Curve(-43, 166)
 
         def forbidden(*args):
-            raise AssertionError("a root search or a root-cache hit evaluated Tate "
-                                 "values or fg_forms")
+            raise AssertionError("a root search or a root-cache hit evaluated Tate values")
 
         monkeypatch.setattr(thue, "tate_AB", forbidden)
-        monkeypatch.setattr(families, "fg_forms", forbidden)
-        monkeypatch.setattr(thue, "fg_forms", forbidden)
         # a miss on the cold cache builds the rows, and the twists hit them
         alpha = detect(c, 7).alpha
         traces = {u: detect(twist_scale(c, u), 7) for u in (2, 3, 7)}
@@ -440,6 +437,7 @@ class TestDetectProofs:
                     An, Bn = tate_AB(w.n, alpha)
                     p0, q0 = fam.sigma * alpha.numerator, alpha.denominator
                     lam = abs(p0) * q0 if w.n == 8 else q0**fam.scale_power
+                    assert lam == fam.pipeline_scale(p0, q0), (w.n, alpha)
                     assert (F0, G0) == (lam**4 * An, lam**6 * Bn), (c, w.n, alpha)
                     mu = rational_square_root(F(36 * c.B * F0, c.A * G0))
                     u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
@@ -1017,6 +1015,11 @@ class TestParamCrossCheck:
     def test_zero_u_rejected(self):
         with pytest.raises(DegenerateParameterError):
             param_cross_check(5, 0, 1)
+
+    def test_order8_pole_is_the_pipelines(self):
+        # the n = 8 formulas divide by alpha; tate_bc reports the pole first
+        with pytest.raises(DegenerateParameterError, match=r"^n=8 needs alpha != 0"):
+            param_cross_check(8, 1, 0)
 
 
 class TestOracleDetectBruteForceAgreement:
