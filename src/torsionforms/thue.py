@@ -39,18 +39,17 @@ class Witness:
         for v in (self.p, self.q):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError("witness coordinates p and q must be integers")
-        try:
-            object.__setattr__(self, "k", Fraction(self.k))
-        except ZeroDivisionError:
-            raise SideConditionError(f"k = {str(self.k)[:40]} has a zero denominator") from None
-        except (TypeError, ValueError, OverflowError):  # "abc", None, nan, inf
-            raise SideConditionError(f"k = {str(self.k)[:40]} is not a rational") from None
+        if not isinstance(self.k, Fraction):
+            try:
+                object.__setattr__(self, "k", Fraction(self.k))
+            except ZeroDivisionError:
+                raise SideConditionError(
+                    f"k = {str(self.k)[:40]} has a zero denominator"
+                ) from None
+            except (TypeError, ValueError, OverflowError):  # "abc", None, nan, inf
+                raise SideConditionError(f"k = {str(self.k)[:40]} is not a rational") from None
         fam = family(self.n)
-        if self.k not in fam.kset:
-            raise SideConditionError(
-                f"k = {rational_to_decimal(self.k)} is not in the n = {self.n} "
-                f"branch set {fam.kset}"
-            )
+        _require_branch(fam, self.k)
         if not fam.side_conditions_ok(self.p, self.q):
             raise SideConditionError(
                 f"(p, q) = ({int_to_decimal(self.p)}, {int_to_decimal(self.q)}) violates "
@@ -60,6 +59,14 @@ class Witness:
     @property
     def family(self) -> ThueFamily:
         return FAMILIES[self.n]
+
+
+def _require_branch(fam: ThueFamily, k: Fraction) -> None:
+    """SideConditionError unless the rational k lies in the branch set of ``fam``."""
+    if k not in fam.kset:
+        raise SideConditionError(
+            f"k = {rational_to_decimal(k)} is not in the n = {fam.n} branch set {fam.kset}"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,8 +133,8 @@ def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple
     """
     fam = FAMILIES[n]
     F, G = S**4 * fam.F(p, q), S**6 * fam.G(p, q)
-    pq = f"{int_to_decimal(p)}, {int_to_decimal(q)}"
     if disc_AB(F, G) == 0:
+        pq = f"{int_to_decimal(p)}, {int_to_decimal(q)}"
         raise DegenerateParameterError(f"witness (p, q) = ({pq}) generates a singular curve")
     cx, cy = 3 * S**2, 108 * S**3
     points = []
@@ -136,7 +143,7 @@ def _checked_model(n: int, p: int, q: int, S: int) -> tuple[int, int, list[tuple
         if y * y != x**3 + F * x + G:
             raise FamilyDataError(
                 f"point {_witness_point(x, y)!r} is off the n = {n} curve at "
-                f"(p, q, k) = ({pq}, {Fraction(S, 6)})"
+                f"(p, q, k) = ({int_to_decimal(p)}, {int_to_decimal(q)}, {Fraction(S, 6)})"
             )
         points += [(x, y), (x, -y)]
     for x, y in points[::2]:
@@ -269,15 +276,32 @@ def _cached_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     return rows
 
 
-def _witness_from_mu(n: int, alpha: Fraction, mu: int) -> tuple[Witness, int, Optional[str]]:
-    """Convert the twist factor mu of a row to a witness.
+def _mu_branch(fam: ThueFamily, mu: int) -> Optional[tuple[Fraction, int]]:
+    """The branch test of a row's twist factor mu >= 1: (k, s) for the first
+    branch k with mu = 6 k s^j for an integer s >= 1 (j = ``fam.scale_power``),
+    or None.  Int arithmetic only; it builds no witness and no string."""
+    j = fam.scale_power
+    for k in fam.kset:
+        t, rest = divmod(mu * k.denominator, 6 * k.numerator)
+        if not rest:
+            s = math.isqrt(t) if j == 2 else integer_nth_root(t, j)
+            if s**j == t:
+                return k, s
+    return None
 
-    Returns ``(witness, scale, discrepancy)``.  The raw branch factor is
-    k_raw = mu/6; if k_raw/k is the j-th power of a positive integer s for
-    some branch k, the scale absorbs into (s p0, s q0) and the plain integral
-    system is solvable.  Otherwise the residual integer scale m of
-    k_raw = m/b is kept on the k = 1/b branch and the trace is flagged.  U and
-    V are homogeneous of degrees 4j and 6j, so mu = scale * 6k * s^j.
+
+def _witness_from_mu(
+    fam: ThueFamily, alpha: Fraction, mu: int, branch: Optional[tuple[Fraction, int]]
+) -> tuple[Witness, int, Optional[str]]:
+    """Convert the twist factor mu of a row to a witness, given the row's
+    ``_mu_branch(fam, mu)``.
+
+    Returns ``(witness, scale, discrepancy)``.  On a branch (k, s) the scale
+    absorbs into (s p0, s q0) and the plain integral system is solvable: U
+    and V are homogeneous of degrees 4j and 6j, so mu = 6k * s^j.  With no
+    branch, the raw branch factor k_raw = mu/6 = m/b (lowest terms) is kept
+    as the residual integer scale m on the k = 1/b branch and the trace is
+    flagged.
 
     1/b is always a branch: A = -27 k_raw^4 U(p0, q0) and
     B = +-54 k_raw^6 V(p0, q0) are integers, so b^4 | 27 U and b^6 | 54 V;
@@ -286,24 +310,17 @@ def _witness_from_mu(n: int, alpha: Fraction, mu: int) -> tuple[Witness, int, Op
     (``test_branch_denominators_by_resultant``).  So b | 6, and mu = 6 k_raw
     is an integer whenever it is rational.
     """
-    fam = FAMILIES[n]
-    p0 = fam.sigma * alpha.numerator
-    q0 = alpha.denominator
-    j = fam.scale_power
-    # k_raw = m/b in lowest terms
+    p0, q0 = fam.sigma * alpha.numerator, alpha.denominator
+    if branch is not None:
+        k, s = branch
+        return Witness(fam.n, s * p0, s * q0, k), 1, None
     g = math.gcd(mu, 6)
     m, b = mu // g, 6 // g
-    for k in fam.kset:
-        num, den = m * k.denominator, b * k.numerator
-        if num % den == 0:
-            s = integer_nth_root(num // den, j)
-            if s**j == num // den:
-                return Witness(n, s * p0, s * q0, k), 1, None
     note = (
         f"no integral solution of the plain system; residual scale {int_to_decimal(m)} "
         f"on the k = 1/{b} branch"
     )
-    return Witness(n, p0, q0, Fraction(1, b)), m, note
+    return Witness(fam.n, p0, q0, Fraction(1, b)), m, note
 
 
 def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
@@ -311,12 +328,16 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
 
     Returns None exactly when no such point exists.  When one exists, returns
     the matching-system solution (alpha, u) converted to a family witness;
-    traces with a set ``discrepancy`` still certify presence.
+    traces with a set ``discrepancy`` still certify presence.  The answer is
+    the first row (in row order) whose twist factor mu names a branch, else
+    the first row whose mu is rational.
 
     The rows come from the root cache (``_cached_roots``): a curve without
     rows, and an order that another order's rows at j rule out, get None at
     once; a miss runs one root search (``_matching_roots``); a hit is a few
-    int products and one ``_witness_from_mu`` per row it passes.
+    int products and one integer branch test (``_mu_branch``) per row it
+    passes, and builds one witness and one trace, for the row it answers
+    with.
 
     On each row the twist factor is read off the root's model (F0, G0) in
     int: mu^2 = 36 B F0 / (A G0), where A B != 0 as j = 0 and 1728 have no
@@ -339,20 +360,26 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
     rows = _cached_roots(n, ja // g, jb // g)
     if not rows:
         return None
-    best: Optional[DetectionTrace] = None
+    answer = None
     for alpha, F0, G0 in rows:
         mu2, rest = divmod(36 * B * F0, A * G0)
-        if rest or mu2 <= 0 or math.isqrt(mu2) ** 2 != mu2:
+        if rest or mu2 <= 0:
             continue
         mu = math.isqrt(mu2)
-        witness, scale, note = _witness_from_mu(n, alpha, mu)
-        lam = fam.pipeline_scale(fam.sigma * alpha.numerator, alpha.denominator)
-        trace = DetectionTrace(alpha, Fraction(6, mu * lam), witness, scale, note)
-        if note is None:
-            return trace
-        if best is None:
-            best = trace
-    return best
+        if mu * mu != mu2:
+            continue
+        branch = _mu_branch(fam, mu)
+        if branch is not None:
+            answer = alpha, mu, branch
+            break
+        if answer is None:
+            answer = alpha, mu, None
+    if answer is None:
+        return None
+    alpha, mu, branch = answer
+    witness, scale, note = _witness_from_mu(fam, alpha, mu, branch)
+    lam = fam.pipeline_scale(fam.sigma * alpha.numerator, alpha.denominator)
+    return DetectionTrace(alpha, Fraction(6, mu * lam), witness, scale, note)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +391,23 @@ def brute_force_witness_search(
     """All witnesses with 1 <= |p|, |q| <= bound satisfying the integral system
     (6^4 A, 6^6 B) = ``eval_FG`` of the witness exactly, by exhaustive scan.
 
-    ``ks`` restricts the branch set (default: every branch of the family); a k
-    whose 6k is not an integer is a ValueError.
+    ``ks`` restricts the branch set (default: every branch of the family).
+    Each k is checked before the scan, so the answer does not depend on the
+    curve: a k whose 6k is not an integer is a ValueError, and another k
+    outside the branch set the SideConditionError of ``Witness``.
     """
     fam = family(n)
     branches = fam.kset if ks is None else tuple(Fraction(k) for k in ks)
+    for k in branches:
+        if (6 * k).denominator != 1:
+            raise ValueError(f"k = {k} is not a valid branch for n = {n}")
+        _require_branch(fam, k)
     target_f = 1296 * c.A
     target_g = 46656 * c.B
     box = [v for v in range(-bound, bound + 1) if v]
     found = []
     for k in branches:
-        S, rest = divmod(6 * k, 1)
-        if rest:
-            raise ValueError(f"k = {k} is not a valid branch for n = {n}")
+        S = 6 * k.numerator // k.denominator
         for q in box:
             for p in box:
                 if not fam.side_conditions_ok(p, q):

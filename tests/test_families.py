@@ -200,9 +200,16 @@ class TestEvalFG:
         with pytest.raises(ValueError, match=r"^k = 1/5 is not a valid branch for n = 7$"):
             brute_force_witness_search(Curve(1, 1), 7, 1, ks=(F(1, 5),))
 
-    def test_branch_outside_the_set_is_searched(self):
-        # the search rejects only a k whose 6k is not an integer
-        assert brute_force_witness_search(Curve(1, 1), 7, 2, ks=(F(1, 6), 2)) == []
+    @pytest.mark.parametrize("matching", [False, True])
+    def test_branch_outside_the_set_is_rejected(self, matching):
+        # 6k = 12 is an integer, but k = 2 is no n = 7 branch: the search
+        # rejects it before scanning, on a curve that nothing matches and on
+        # the S = 12 model of (p, q) = (2, 1), which the scan would match
+        fam = FAMILIES[7]
+        c = Curve(16 * fam.F(2, 1), 64 * fam.G(2, 1)) if matching else Curve(1, 1)
+        with pytest.raises(SideConditionError,
+                           match=r"^k = 2 is not in the n = 7 branch set \("):
+            brute_force_witness_search(c, 7, 2, ks=(2,))
 
     def test_order_without_family_rejected(self):
         with pytest.raises(ValueError, match="no family for order n = 6"):

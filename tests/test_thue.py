@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -366,6 +367,41 @@ class TestDetect:
         assert trace.scale == 2
         assert has_point_of_order(c2, 7)
 
+    # sha256 of the answers below, recorded when detect still built a witness
+    # for every row whose mu is rational: how many witnesses a hit builds
+    # must not change an answer
+    ANSWERS_DIGEST = "c9af43e2987331d9f3da9e617c9a06ff366499162b20b09722b1dbb6abb548bf"
+
+    def test_answers_are_unchanged(self, cold_root_cache):
+        # every planted witness with |p| <= 5, 1 <= q <= 5 on its 6-twist, two
+        # u-twists and three quadratic twists of it, each asked all four
+        # orders; every field goes in as a decimal string, so the digest does
+        # not depend on the Python version
+        digest, answers, positive = hashlib.sha256(), 0, 0
+        for n in FAMILY_ORDERS:
+            for k in FAMILIES[n].kset:
+                for p in range(-5, 6):
+                    for q in range(1, 6):
+                        try:
+                            c = Curve(*eval_FG(Witness(n, p, q, k)))
+                        except (SideConditionError, SingularCurveError):
+                            continue
+                        twists = [twist_scale(c, 2), twist_scale(c, 5)]
+                        twists += [Curve(d * d * c.A, d**3 * c.B) for d in (-1, 2, -3)]
+                        for curve in [c] + twists:
+                            for m in FAMILY_ORDERS:
+                                fields = [curve.A, curve.B, m]
+                                trace = detect(curve, m)
+                                if trace is not None:
+                                    w = trace.witness
+                                    fields += [trace.alpha, trace.u, w.n, w.p, w.q, w.k,
+                                               trace.scale, trace.discrepancy]
+                                    positive += 1
+                                answers += 1
+                                digest.update((" ".join(map(str, fields)) + "\n").encode())
+        assert (answers, positive) == (7584, 948)
+        assert digest.hexdigest() == self.ANSWERS_DIGEST
+
 
 def _valuation(x: int, ell: int) -> int:
     e = 0
@@ -454,7 +490,9 @@ class TestDetectProofs:
                         x, y = mu**2 * x, mu**3 * y
                         assert y * y == x**3 + 1296 * c.A * x + 46656 * c.B, (c, w.n, alpha)
                     witness, scale, _, note = fraction_witness_from_alpha_u(w.n, alpha, u)
-                    assert thue._witness_from_mu(w.n, alpha, mu) == (witness, scale, note)
+                    branch = thue._mu_branch(fam, mu)
+                    assert (branch is None) == (note is not None), (c, w.n, alpha)
+                    assert thue._witness_from_mu(fam, alpha, mu, branch) == (witness, scale, note)
                     s = witness.q // q0
                     assert mu == scale * 6 * witness.k * s**fam.scale_power
                     positive += 1
@@ -595,29 +633,59 @@ class TestPositiveMissCost:
 
     def test_discrepancy_row_before_the_clean_row(self, monkeypatch):
         # rows of one curve either all absorb the twist or none does (the
-        # diamond automorphisms keep the twist class), so the first row is
-        # flagged by hand: detect must pass over it to the clean second row,
-        # and answer with the first row only when no row is clean
+        # diamond automorphisms keep the twist class), so the branch test is
+        # failed by hand, on the first row and then on every row: detect must
+        # pass over the first row to the clean second row, answer with the
+        # first row only when no row is clean, and test each row it passes once
         c = Curve(-43, 166)
         rows = _rows(c, 7)
-        real = thue._witness_from_mu
-        flagged = {rows[0][0]}
+        real = thue._mu_branch
+        calls, flagged = [], {0}
 
-        def flag(n, alpha, mu):
-            witness, scale, note = real(n, alpha, mu)
-            return witness, scale, "flagged" if alpha in flagged else note
+        def flag(fam, mu):
+            calls.append(mu)
+            return None if len(calls) - 1 in flagged else real(fam, mu)
 
-        monkeypatch.setattr(thue, "_witness_from_mu", flag)
+        monkeypatch.setattr(thue, "_mu_branch", flag)
         trace = detect(c, 7)
+        assert len(calls) == 2
         alpha = rows[1][0]
         An, Bn = tate_AB(7, alpha)
         u = rational_square_root(F(c.A) * Bn / (F(c.B) * An))
         witness, scale, _, note = fraction_witness_from_alpha_u(7, alpha, u)
         assert note is None
         assert trace == thue.DetectionTrace(alpha=alpha, u=u, witness=witness, scale=scale)
-        flagged.update(row[0] for row in rows)
+        calls.clear()
+        flagged.update((1, 2))
         trace = detect(c, 7)
-        assert trace.alpha == rows[0][0] and trace.discrepancy == "flagged"
+        assert calls == [2, 2, 2]
+        # mu = 2 = 6 * (1/3): the residual scale is 1 on the k = 1/3 branch
+        assert (trace.alpha, trace.witness, trace.scale, trace.discrepancy) == (
+            rows[0][0], Witness(7, 2, 1, F(1, 3)), 1,
+            "no integral solution of the plain system; residual scale 1 on the k = 1/3 branch")
+
+    @pytest.mark.parametrize("u, notes", [(1, 0), (2, 1)])
+    def test_one_witness_per_answer(self, monkeypatch, u, notes):
+        # the 2-twist's three rows all fail the branch test, yet its answer
+        # builds one witness and formats one note; a clean answer formats none
+        c = twist_scale(Curve(-43, 166), u)
+        assert len(_rows(c, 7)) == 3
+        made, formatted = [], []
+        real_witness, real_decimal = thue.Witness, thue.int_to_decimal
+
+        def witness(*args):
+            made.append(args)
+            return real_witness(*args)
+
+        def decimal(x):
+            formatted.append(x)
+            return real_decimal(x)
+
+        monkeypatch.setattr(thue, "Witness", witness)
+        monkeypatch.setattr(thue, "int_to_decimal", decimal)
+        trace = detect(c, 7)
+        assert len(made) == 1 and len(formatted) == notes
+        assert (trace.discrepancy is not None) == bool(notes)
 
 
 def _twists(c: Curve) -> list:
