@@ -4,12 +4,10 @@ quartic/sextic twist scaling."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from .errors import OffCurveError, SingularCurveError
-from .exact import int_to_decimal, rational_to_decimal
+from .exact import _Value, int_to_decimal, rational_to_decimal
 
 
 def disc_AB(A, B):
@@ -17,20 +15,19 @@ def disc_AB(A, B):
     return -16 * (4 * A**3 + 27 * B**2)
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(_Value):
     """Integral short Weierstrass curve; construction rejects singular models."""
 
-    A: int
-    B: int
+    __slots__ = ("A", "B")
 
-    def __post_init__(self):
-        for v in (self.A, self.B):
+    def __init__(self, A: int, B: int):
+        for v in (A, B):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError("curve coefficients must be integers")
-        if disc_AB(self.A, self.B) == 0:
+        if disc_AB(A, B) == 0:
             raise SingularCurveError(f"discriminant vanishes for (A, B) = "
-                                     f"({int_to_decimal(self.A)}, {int_to_decimal(self.B)})")
+                                     f"({int_to_decimal(A)}, {int_to_decimal(B)})")
+        self._fill(A, B)
 
     @property
     def disc(self) -> int:
@@ -61,22 +58,19 @@ class Infinity:
 INFINITY = Infinity()
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """Affine rational point; coordinates are stored as reduced fractions."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    def __init__(self, x, y):
+        self._fill(Fraction(x), Fraction(y))
 
     def __repr__(self) -> str:
         return f"({rational_to_decimal(self.x)}, {rational_to_decimal(self.y)})"
 
 
-PointLike = Union[Point, Infinity]
+PointLike = Point | Infinity
 
 
 def on_curve(c: Curve, P: PointLike) -> bool:
@@ -135,7 +129,7 @@ def scalar_mul(c: Curve, m: int, P: PointLike) -> PointLike:
     return result
 
 
-def point_order(c: Curve, P: PointLike, cap: int = 16) -> Optional[int]:
+def point_order(c: Curve, P: PointLike, cap: int = 16) -> int | None:
     """Least m >= 1 with m*P = O, or None if the order exceeds ``cap``.
 
     Runs in integers.  On an integral model, which :class:`Curve` enforces,
@@ -154,7 +148,7 @@ def point_order(c: Curve, P: PointLike, cap: int = 16) -> Optional[int]:
     return _integral_order(c.A, P.x.numerator, P.y.numerator, cap)
 
 
-def _integral_order(A: int, x0: int, y0: int, cap: int) -> Optional[int]:
+def _integral_order(A: int, x0: int, y0: int, cap: int) -> int | None:
     """:func:`point_order` of the integral point (x0, y0) on an integral
     model y**2 = x**3 + A*x + B (B does not enter the group law); the caller
     has checked that the point lies on it and that cap >= 1."""

@@ -12,20 +12,60 @@ n-th roots.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Iterable, Optional
+from operator import attrgetter
 
 
-class _Coeffs:
+class _Value:
+    """Immutable value whose fields are the ``__slots__`` of one subclass:
+    assignment raises AttributeError, equality and hash go by type and
+    fields, the repr is ``Name(field=value, ...)``, and pickle and copy
+    rebuild the value through its constructor, each of whose parameters
+    names a field or property."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__dict__.get("__slots__"):
+            cls._names = cls.__slots__
+            cls._key = attrgetter(*cls.__slots__)
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in slot order; for ``__init__`` only."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        init = type(self).__init__.__code__
+        return type(self), tuple(map(self.__getattribute__, init.co_varnames[1:init.co_argcount]))
+
+
+class _Coeffs(_Value):
     """Immutable integer coefficients and the arithmetic IntPoly and HomForm
     share; each subclass builds its results in ``_like(degree, coeffs)``."""
 
     __slots__ = ("coeffs",)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def degree(self) -> int:
@@ -60,12 +100,6 @@ class _Coeffs:
         for _ in range(k):
             result = result * self
         return result
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coeffs))
 
 
 class IntPoly(_Coeffs):
@@ -308,7 +342,7 @@ def integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def rational_nth_root(x, k: int) -> Optional[Fraction]:
+def rational_nth_root(x, k: int) -> Fraction | None:
     """The nonnegative exact k-th root of ``x`` if it is a perfect k-th power."""
     x = Fraction(x)
     if x < 0:
@@ -322,7 +356,7 @@ def rational_nth_root(x, k: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def rational_square_root(x) -> Optional[Fraction]:
+def rational_square_root(x) -> Fraction | None:
     """The nonnegative square root of ``x`` when ``x`` is a rational square."""
     return rational_nth_root(x, 2)
 
@@ -390,7 +424,7 @@ def _squarefree_part(f: IntPoly) -> IntPoly:
     return _pseudo_divmod(f, a)[0].primitive_part()
 
 
-def rational_roots(poly: IntPoly, symmetry: Optional[tuple[int, int, int, int]] = None
+def rational_roots(poly: IntPoly, symmetry: tuple[int, int, int, int] | None = None
                    ) -> set[Fraction]:
     """Exactly the rational roots of ``poly`` (not identically zero).
 

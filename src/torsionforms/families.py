@@ -24,10 +24,9 @@ the Tate pipeline by the test suite; known transcription issues are listed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import HomForm, IntPoly
+from .exact import HomForm, _Value
 
 # convenience linear forms (coefficients ascending in p)
 _P = HomForm(1, (0, 1))          # p
@@ -37,37 +36,26 @@ _Q_MINUS_P = HomForm(1, (1, -1))  # q - p
 _Q_MINUS_2P = HomForm(1, (1, -2))  # q - 2p
 
 
-@dataclass(frozen=True)
-class ThueFamily:
-    n: int
-    kset: tuple[Fraction, ...]
-    sigma: int                      # witness orientation: alpha = sigma * p / q
-    b_sign: int
-    U: HomForm
-    V: HomForm
-    point_x: tuple[HomForm, ...]
-    point_y: tuple[HomForm, ...]
-    # the Moebius map alpha -> (a*alpha + b)/(c*alpha + d), as (a, b, c, d), of
-    # a diamond automorphism of X_1(n): it keeps the curve (and j) and moves
-    # the marked point P to a multiple dP, so it permutes the roots of detect's
-    # matching polynomial (Kubert, Proc. LMS 33, 1976)
-    symmetry: tuple[int, int, int, int]
-    degrees: tuple[int, int, int, int]  # (deg F, deg G, deg x, deg y)
-    nonzero_pq: bool
-    p_ne_q: bool
-    two_p_ne_q: bool
-    # derived: the model F = -27 U, G = +-54 V, and F(sigma x, 1), G(sigma x, 1)
-    F: HomForm = field(init=False)
-    G: HomForm = field(init=False)
-    tate_A_num: IntPoly = field(init=False)
-    tate_B_num: IntPoly = field(init=False)
+class ThueFamily(_Value):
+    """The order-n family.  The witness orientation is alpha = sigma*p/q;
+    ``degrees`` is (deg F, deg G, deg x, deg y); ``symmetry`` = (a, b, c, d) is
+    the Moebius map alpha -> (a*alpha + b)/(c*alpha + d) of a diamond
+    automorphism of X_1(n): it keeps the curve (and j) and moves the marked
+    point P to a multiple dP, so it permutes the roots of detect's matching
+    polynomial (Kubert, Proc. LMS 33, 1976).  Derived: the model F = -27 U,
+    G = +-54 V, and F(sigma x, 1), G(sigma x, 1)."""
 
-    def __post_init__(self):
-        F, G = -27 * self.U, self.b_sign * 54 * self.V
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "tate_A_num", F.dehomogenize(self.sigma))
-        object.__setattr__(self, "tate_B_num", G.dehomogenize(self.sigma))
+    __slots__ = ("n", "kset", "sigma", "b_sign", "U", "V", "point_x", "point_y", "symmetry",
+                 "degrees", "nonzero_pq", "p_ne_q", "two_p_ne_q",
+                 "F", "G", "tate_A_num", "tate_B_num")
+
+    def __init__(self, n: int, kset: tuple[Fraction, ...], sigma: int, b_sign: int, U: HomForm,
+                 V: HomForm, point_x: tuple[HomForm, ...], point_y: tuple[HomForm, ...],
+                 symmetry: tuple[int, int, int, int], degrees: tuple[int, int, int, int],
+                 nonzero_pq: bool, p_ne_q: bool, two_p_ne_q: bool):
+        F, G = -27 * U, b_sign * 54 * V
+        self._fill(n, kset, sigma, b_sign, U, V, point_x, point_y, symmetry, degrees, nonzero_pq,
+                   p_ne_q, two_p_ne_q, F, G, F.dehomogenize(sigma), G.dehomogenize(sigma))
 
     @property
     def scale_power(self) -> int:

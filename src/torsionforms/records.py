@@ -8,12 +8,11 @@ strings may have any number of digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import Curve, Point, on_curve, point_order
 from .errors import FamilyDataError
-from .exact import decimal_to_int, int_to_decimal, rational_to_decimal
+from .exact import _Value, decimal_to_int, int_to_decimal, rational_to_decimal
 from .torsion import MAZUR_LABELS
 
 
@@ -32,18 +31,14 @@ def _typed(value, kind: type = str):
     return value
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    n: int
-    p: int
-    q: int
-    k: Fraction
-    curve: Curve
-    delta: int
-    points: tuple[Point, ...]
-    group_label: str
-    provenance: str          # "generated" | "detected"
-    form: str                # "ab" (direct model) | "fg6" (its 6-twist)
+class CurveRecord(_Value):
+    # provenance: "generated" | "detected"; form: "ab" (direct model) | "fg6" (its 6-twist)
+    __slots__ = ("n", "p", "q", "k", "curve", "delta", "points", "group_label",
+                 "provenance", "form")
+
+    def __init__(self, n: int, p: int, q: int, k: Fraction, curve: Curve, delta: int,
+                 points: tuple[Point, ...], group_label: str, provenance: str, form: str):
+        self._fill(n, p, q, k, curve, delta, points, group_label, provenance, form)
 
     def to_dict(self) -> dict:
         return {

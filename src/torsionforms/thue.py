@@ -6,10 +6,8 @@ and the elimination-formula cross-checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .curves import Curve, Point, _integral_order, disc_AB
 from .errors import (
@@ -17,7 +15,7 @@ from .errors import (
     FamilyDataError,
     SideConditionError,
 )
-from .exact import int_to_decimal, integer_nth_root, rational_roots, rational_square_root
+from .exact import _Value, int_to_decimal, integer_nth_root, rational_roots, rational_square_root
 from .exact import rational_to_decimal
 from .families import FAMILIES, ThueFamily, family
 from .records import CurveRecord
@@ -25,36 +23,29 @@ from .tate import tate_AB
 from .torsion import CACHE_SIZE, torsion_structure
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """Parameter tuple (n, p, q, k) for the order-n family; (p, q) need not be
     coprime, and k must lie in the branch set of the family."""
 
-    n: int
-    p: int
-    q: int
-    k: Fraction
+    __slots__ = ("n", "p", "q", "k")
 
-    def __post_init__(self):
-        for v in (self.p, self.q):
+    def __init__(self, n: int, p: int, q: int, k: Fraction):
+        for v in (p, q):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError("witness coordinates p and q must be integers")
-        if not isinstance(self.k, Fraction):
+        if not isinstance(k, Fraction):
             try:
-                object.__setattr__(self, "k", Fraction(self.k))
+                k = Fraction(k)
             except ZeroDivisionError:
-                raise SideConditionError(
-                    f"k = {str(self.k)[:40]} has a zero denominator"
-                ) from None
+                raise SideConditionError(f"k = {str(k)[:40]} has a zero denominator") from None
             except (TypeError, ValueError, OverflowError):  # "abc", None, nan, inf
-                raise SideConditionError(f"k = {str(self.k)[:40]} is not a rational") from None
-        fam = family(self.n)
-        _require_branch(fam, self.k)
-        if not fam.side_conditions_ok(self.p, self.q):
-            raise SideConditionError(
-                f"(p, q) = ({int_to_decimal(self.p)}, {int_to_decimal(self.q)}) violates "
-                f"the n = {self.n} side conditions"
-            )
+                raise SideConditionError(f"k = {str(k)[:40]} is not a rational") from None
+        fam = family(n)
+        _require_branch(fam, k)
+        if not fam.side_conditions_ok(p, q):
+            raise SideConditionError(f"(p, q) = ({int_to_decimal(p)}, {int_to_decimal(q)}) "
+                                     f"violates the n = {n} side conditions")
+        self._fill(n, p, q, k)
 
     @property
     def family(self) -> ThueFamily:
@@ -69,8 +60,7 @@ def _require_branch(fam: ThueFamily, k: Fraction) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DetectionTrace:
+class DetectionTrace(_Value):
     """Solution of the matching system u**4 A = A_n(alpha), u**6 B = B_n(alpha),
     converted to a family witness.
 
@@ -82,11 +72,11 @@ class DetectionTrace:
     (p, q)) has no solution even though the matching system does.
     """
 
-    alpha: Fraction
-    u: Fraction
-    witness: Witness
-    scale: int
-    discrepancy: Optional[str] = None
+    __slots__ = ("alpha", "u", "witness", "scale", "discrepancy")
+
+    def __init__(self, alpha: Fraction, u: Fraction, witness: Witness, scale: int,
+                 discrepancy: str | None = None):
+        self._fill(alpha, u, witness, scale, discrepancy)
 
     @property
     def u2(self) -> int:
@@ -276,7 +266,7 @@ def _cached_roots(n: int, a: int, b: int) -> tuple[tuple, ...]:
     return rows
 
 
-def _mu_branch(fam: ThueFamily, mu: int) -> Optional[tuple[Fraction, int]]:
+def _mu_branch(fam: ThueFamily, mu: int) -> tuple[Fraction, int] | None:
     """The branch test of a row's twist factor mu >= 1: (k, s) for the first
     branch k with mu = 6 k s^j for an integer s >= 1 (j = ``fam.scale_power``),
     or None.  Int arithmetic only; it builds no witness and no string."""
@@ -291,8 +281,8 @@ def _mu_branch(fam: ThueFamily, mu: int) -> Optional[tuple[Fraction, int]]:
 
 
 def _witness_from_mu(
-    fam: ThueFamily, alpha: Fraction, mu: int, branch: Optional[tuple[Fraction, int]]
-) -> tuple[Witness, int, Optional[str]]:
+    fam: ThueFamily, alpha: Fraction, mu: int, branch: tuple[Fraction, int] | None
+) -> tuple[Witness, int, str | None]:
     """Convert the twist factor mu of a row to a witness, given the row's
     ``_mu_branch(fam, mu)``.
 
@@ -323,7 +313,7 @@ def _witness_from_mu(
     return Witness(fam.n, p0, q0, Fraction(1, b)), m, note
 
 
-def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
+def detect(c: Curve, n: int) -> DetectionTrace | None:
     """Decide whether ``c`` has a rational point of order n in {5, 7, 8, 9}.
 
     Returns None exactly when no such point exists.  When one exists, returns
@@ -386,7 +376,7 @@ def detect(c: Curve, n: int) -> Optional[DetectionTrace]:
 # independent bounded search
 
 def brute_force_witness_search(
-    c: Curve, n: int, bound: int, ks: Optional[tuple[Fraction, ...]] = None
+    c: Curve, n: int, bound: int, ks: tuple[Fraction, ...] | None = None
 ) -> list[Witness]:
     """All witnesses with 1 <= |p|, |q| <= bound satisfying the integral system
     (6^4 A, 6^6 B) = ``eval_FG`` of the witness exactly, by exhaustive scan.

@@ -14,12 +14,11 @@ rational torsion groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .curves import INFINITY, Curve, Point, _integral_order
 from .errors import FamilyDataError
-from .exact import _hensel_lift, _primes_from
+from .exact import _hensel_lift, _primes_from, _Value
 
 MAZUR_ORDER_CAP = 12
 
@@ -36,13 +35,13 @@ MAZUR_LABELS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(_Value):
     """Full torsion point set with its group label and exponent."""
 
-    points: frozenset
-    group_label: str
-    exponent: int
+    __slots__ = ("points", "group_label", "exponent")
+
+    def __init__(self, points: frozenset, group_label: str, exponent: int):
+        self._fill(points, group_label, exponent)
 
     @property
     def order(self) -> int:

@@ -38,3 +38,21 @@ def form_identity():
         assert fam.G(p, q) == lam**6 * B, (n, p, q)
 
     return check
+
+
+@pytest.fixture(scope="session")
+def rebuild_family():
+    """``rebuild(fam, **changes)``: the ThueFamily ``fam`` with some of its
+    constructor fields changed, built through the constructor, so that the
+    derived F, G, tate_A_num and tate_B_num follow the changed U, V, b_sign
+    and sigma."""
+    import inspect
+
+    from torsionforms import ThueFamily
+
+    names = inspect.signature(ThueFamily).parameters
+
+    def rebuild(fam, **changes):
+        return ThueFamily(**{name: changes.get(name, getattr(fam, name)) for name in names})
+
+    return rebuild

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -236,7 +235,7 @@ class TestVerifyIdentitiesCommand:
         assert f"sigma_{n} = " in r.stdout
 
     @pytest.mark.parametrize("name", ["U", "V"])
-    def test_wrong_form_fails(self, name, monkeypatch, capsys):
+    def test_wrong_form_fails(self, name, monkeypatch, capsys, rebuild_family):
         # the Tate numerators and the model are derived from U and V, so both
         # lines compare the forms with the pipeline: every coefficient of
         # every family's form off by +1 or -1 must fail both
@@ -246,7 +245,7 @@ class TestVerifyIdentitiesCommand:
                 for delta in (1, -1):
                     coeffs = list(form.coeffs)
                     coeffs[i] += delta
-                    wrong = dataclasses.replace(fam, **{name: HomForm(form.degree, coeffs)})
+                    wrong = rebuild_family(fam, **{name: HomForm(form.degree, coeffs)})
                     monkeypatch.setitem(FAMILIES, n, wrong)
                     assert cli.main(["verify-identities", str(n)]) == cli.EXIT_ERROR
                     out = capsys.readouterr().out
@@ -254,7 +253,8 @@ class TestVerifyIdentitiesCommand:
                     assert f"FAIL  binary-form homogenization n={n}" in out, (n, i, delta)
 
     @pytest.mark.parametrize("line", ["tate-pipeline coefficients", "binary-form homogenization"])
-    def test_each_line_checks_deg_v_plus_one_points(self, line, monkeypatch, capsys):
+    def test_each_line_checks_deg_v_plus_one_points(self, line, monkeypatch, capsys,
+                                                     rebuild_family):
         # the line's points are (p, q) = (sigma x, 1), or (sigma x, x + 1), for
         # x = 1, ..., deg V + 1; V + D, with D the product of the deg V linear
         # forms that vanish at all but the last point, is wrong only there
@@ -264,7 +264,7 @@ class TestVerifyIdentitiesCommand:
             for i in range(1, d + 1):
                 D = D * HomForm(1, (-sigma * i, 1 if line.startswith("tate") else i + 1))
             V = HomForm(d, (v + w for v, w in zip(fam.V.coeffs, D.coeffs)))
-            monkeypatch.setitem(FAMILIES, n, dataclasses.replace(fam, V=V))
+            monkeypatch.setitem(FAMILIES, n, rebuild_family(fam, V=V))
             assert cli.main(["verify-identities", str(n)]) == cli.EXIT_ERROR
             assert f"FAIL  {line} n={n}" in capsys.readouterr().out
 

@@ -1,8 +1,10 @@
 """The package runs on the standard library alone: every import in
 ``src/torsionforms``, at module level or inside a function, is relative or
-names a standard-library module."""
+names a standard-library module.  Importing the CLI loads none of the
+slower standard modules the value types once needed."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +39,12 @@ def test_imports_are_relative_or_stdlib(path):
     outside = [(line, name) for line, name in _absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports outside the standard library"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: a .pth file in site-packages may import typing itself
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import torsionforms.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -527,11 +526,11 @@ class TestPositivePath:
         if trace.witness is not None:
             validate_trace(c, trace.witness, trace.scale)
 
-    def test_corrupted_point_table_rejected(self, monkeypatch, cold_root_cache):
+    def test_corrupted_point_table_rejected(self, monkeypatch, cold_root_cache, rebuild_family):
         # a cold cache builds the root's model from the corrupted table
         fam = FAMILIES[7]
         Y = fam.point_y
-        monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(fam, point_y=(2 * Y[0],) + Y[1:]))
+        monkeypatch.setitem(FAMILIES, 7, rebuild_family(fam, point_y=(2 * Y[0],) + Y[1:]))
         with pytest.raises(FamilyDataError, match="is off the n = 7 curve"):
             detect(Curve(-43, 166), 7)
 
@@ -551,10 +550,10 @@ class TestPositivePath:
         with pytest.raises(FamilyDataError, match="6-scaled system validation"):
             detect(Curve(-43, 166), 7)
 
-    def test_wrong_order_points_rejected(self, monkeypatch):
+    def test_wrong_order_points_rejected(self, monkeypatch, rebuild_family):
         # the n = 5 tables under the label 7: every point is on the curve,
         # but of order 5
-        monkeypatch.setitem(FAMILIES, 7, dataclasses.replace(FAMILIES[5], n=7))
+        monkeypatch.setitem(FAMILIES, 7, rebuild_family(FAMILIES[5], n=7))
         with pytest.raises(FamilyDataError, match="has order 5, expected 7"):
             order_n_points(Witness(7, 2, 1, F(1)))
 
